@@ -169,9 +169,6 @@ void LabelingClient::connect(const std::string& host, std::uint16_t port) {
     transport_error(std::string("handshake expected hello-ack, got ") +
                     message_type_name(ack.type));
   }
-  // The ack carries the version the server settled on; every encoder on
-  // this connection gates its version-dependent fields on it.
-  negotiated_version_ = ack.version;
   if (options_.trace) pending_connect_ns_ = obs::steady_now_ns() - connect_start;
   host_ = host;
   port_ = port;
@@ -195,9 +192,9 @@ std::uint64_t LabelingClient::next_trace_id() {
 
 void LabelingClient::submit(const SolveRequest& request) {
   if (!connected()) transport_error("not connected");
-  if (!tracing_active()) {
+  if (!options_.trace) {
     std::vector<std::uint8_t> frame;
-    encode_request(frame, request, negotiated_version_);
+    encode_request(frame, request);
     write_all(frame.data(), frame.size());
     return;
   }
@@ -236,7 +233,7 @@ void LabelingClient::submit(const SolveRequest& request) {
   std::vector<std::uint8_t> frame;
   {
     obs::SpanScope serialize(&trace, obs::Stage::ClientSerialize);
-    encode_request_traced(frame, request, negotiated_version_, trace_id, sampled);
+    encode_request_traced(frame, request, trace_id, sampled);
   }
   trace.trace_id = trace_id;
   {
@@ -510,7 +507,6 @@ void LabelingClient::close() {
   // In-flight traces will never get their responses on this connection.
   pending_traces_.clear();
   pending_connect_ns_ = 0;
-  negotiated_version_ = kWireVersion;
 }
 
 void LabelingClient::write_all(const std::uint8_t* data, std::size_t size) {

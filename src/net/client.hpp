@@ -41,8 +41,7 @@ struct ClientOptions {
   std::uint64_t jitter_seed = 0x6c707473ULL;
   /// Client-side request tracing. When true, submit() stamps requests
   /// that carry no trace context with a generated sampled 64-bit trace
-  /// id (suppressed automatically on connections that negotiated < v4)
-  /// and records spans — connect, serialize, send, server-turnaround
+  /// id and records spans — connect, serialize, send, server-turnaround
   /// (with the server's echoed queue/service timings nested inside),
   /// deserialize — into a client-owned ring exposed via traces(). The
   /// server adopts the same id, so both rings dump one joined trace.
@@ -120,7 +119,7 @@ class LabelingClient {
   /// returned as its typed response, never thrown.
   SolveResponse solve_retry(const SolveRequest& request);
 
-  /// Scrape the server's metrics snapshot (v2+ servers), rendered in
+  /// Scrape the server's metrics snapshot, rendered in
   /// `format`. Responses to still-pipelined requests that arrive first are
   /// buffered for later next()/wait() calls. Throws on transport faults
   /// and on servers that refuse stats frames. `journal_since` (Journal
@@ -136,12 +135,6 @@ class LabelingClient {
   /// Close without the protocol goodbye.
   void close();
 
-  /// Version negotiated on the current connection (the server acks the
-  /// lower of the two); kWireVersion before the first connect().
-  [[nodiscard]] std::uint16_t negotiated_version() const noexcept {
-    return negotiated_version_;
-  }
-
   /// Client-side trace ring (empty unless ClientOptions::trace is on).
   [[nodiscard]] const obs::TraceRing& traces() const noexcept { return traces_; }
 
@@ -150,11 +143,6 @@ class LabelingClient {
   enum class ReadOutcome { Ok, TimedOut, Disconnected };
   using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
-  /// Tracing is live when the option is on AND the peer speaks v4+ (an
-  /// older server would reject the unknown request flag bits).
-  [[nodiscard]] bool tracing_active() const noexcept {
-    return options_.trace && negotiated_version_ >= kTraceContextMinVersion;
-  }
   /// Fresh nonzero trace id from a deterministic per-client stream.
   std::uint64_t next_trace_id();
   /// Close the pending client trace for `response` (if any): append the
@@ -185,7 +173,6 @@ class LabelingClient {
   std::deque<SolveResponse> buffered_;
 
   // --- client-side tracing state ---
-  std::uint16_t negotiated_version_ = kWireVersion;
   std::uint64_t trace_id_state_ = 0;     ///< splitmix stream for next_trace_id()
   std::uint64_t pending_connect_ns_ = 0; ///< last connect duration, spent on the next trace
   std::uint64_t last_decode_ns_ = 0;     ///< duration of the last successful frame decode

@@ -55,9 +55,6 @@ struct LabelingServer::Connection {
   std::vector<std::uint8_t> out;  ///< encoded frames awaiting write
   std::size_t out_offset = 0;
   std::size_t inflight = 0;       ///< submitted to the solver, not yet answered
-  /// Protocol version this connection negotiated at Hello. Stats frames
-  /// are refused below kStatsMinVersion.
-  std::uint16_t version = kWireVersion;
   bool handshaken = false;
   bool draining = false;  ///< client sent Shutdown: close once quiet
   bool closing = false;   ///< protocol fault: close once the Error frame flushes
@@ -396,7 +393,7 @@ void LabelingServer::drain_completions() {
     if (response.status == SolveStatus::RejectedOverload && response.retry_after_ms == 0) {
       response.retry_after_ms = retry_after_hint();
     }
-    encode_response(connection.out, response, connection.version);
+    encode_response(connection.out, response);
     responses_sent_.add();
     flush_writes(connection);
   }
@@ -470,12 +467,9 @@ void LabelingServer::handle_frame(Connection& connection, WireMessage&& message)
                  std::string("expected hello, got ") + message_type_name(message.type));
       return;
     }
+    // decode_handshake already refused any version but kWireVersion.
     connection.handshaken = true;
-    // Negotiate downward: remember the client's version and ack with it,
-    // so a v1 client sees the v1 handshake it expects. decode_handshake
-    // already bounded it to [kWireMinVersion, kWireVersion].
-    connection.version = message.version;
-    encode_hello_ack(connection.out, connection.version);
+    encode_hello_ack(connection.out);
     return;
   }
   switch (message.type) {
@@ -502,21 +496,6 @@ void LabelingServer::handle_frame(Connection& connection, WireMessage&& message)
 
 void LabelingServer::handle_stats_request(Connection& connection, StatsFormat format,
                                           std::uint64_t since) {
-  if (connection.version < kStatsMinVersion) {
-    // The client negotiated v1 and then sent a v2 frame — a protocol
-    // violation, not a soft failure.
-    send_fault(connection, WireFault::Malformed,
-               "stats frames require protocol version 2 (connection negotiated v1)");
-    return;
-  }
-  if ((format == StatsFormat::Journal || format == StatsFormat::Profile) &&
-      connection.version < kTraceContextMinVersion) {
-    send_fault(connection, WireFault::Malformed,
-               std::string(stats_format_name(format)) +
-                   " format requires protocol version 4 (connection negotiated v" +
-                   std::to_string(connection.version) + ")");
-    return;
-  }
   stats_requests_.add();
   std::string payload;
   switch (format) {
@@ -539,7 +518,7 @@ void LabelingServer::handle_request(Connection& connection, SolveRequest&& reque
     response.status = SolveStatus::RejectedOverload;
     response.message = detail;
     response.retry_after_ms = retry_after_hint();
-    encode_response(connection.out, response, connection.version);
+    encode_response(connection.out, response);
     counter.add();
     responses_sent_.add();
   };

@@ -56,11 +56,11 @@ class LabelingServer {
     std::size_t brownout_heuristic_pending = 0;
     std::size_t brownout_reject_pending = 0;
     double brownout_exit_ratio = 0.5;
-    /// Base retry-after hint stamped on every RejectedOverload reply (v3+
-    /// connections); 0 = no hint. When the solver's predicted pending
-    /// work exceeds this, the hint grows to the predicted drain time
-    /// (capped at 60s) — clients backing off a deep heavy backlog wait
-    /// proportionally longer than ones hitting a momentary spike.
+    /// Base retry-after hint stamped on every RejectedOverload reply; 0 =
+    /// no hint. When the solver's predicted pending work exceeds this,
+    /// the hint grows to the predicted drain time (capped at 60s) —
+    /// clients backing off a deep heavy backlog wait proportionally
+    /// longer than ones hitting a momentary spike.
     std::uint32_t brownout_retry_after_ms = 250;
   };
 

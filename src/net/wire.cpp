@@ -102,18 +102,15 @@ void close_frame(std::vector<std::uint8_t>& out, std::size_t length_slot) {
 
 constexpr std::uint8_t kResponseOptimalBit = 1;
 constexpr std::uint8_t kResponseReductionCachedBit = 2;
-/// v3+: a trailing u32 retry-after hint (milliseconds) follows the labels.
+/// A trailing u32 retry-after hint (milliseconds) follows the labels.
 constexpr std::uint8_t kResponseRetryAfterBit = 4;
-/// v4+: two trailing u64s (server queue-wait ns, service ns) follow the
+/// Two trailing u64s (server queue-wait ns, service ns) follow the
 /// retry-after hint (when present).
 constexpr std::uint8_t kResponseServerTimingBit = 8;
 
-/// Request flag byte. Through v3 this byte was the engine-pin flag and
-/// only 0/1 decoded; v4 reads it as a bit set, so a v1-v3 decoder
-/// naturally rejects frames carrying trace context it cannot parse —
-/// exactly why the encoder suppresses these bits below v4.
+/// Request flag byte, read as a bit set; unknown bits are malformed.
 constexpr std::uint8_t kRequestPinnedBit = 1;
-/// v4+: a trailing u64 trace id follows the graph bytes.
+/// A trailing u64 trace id follows the graph bytes.
 constexpr std::uint8_t kRequestTraceContextBit = 2;
 constexpr std::uint8_t kRequestTraceSampledBit = 4;
 
@@ -131,17 +128,13 @@ DecodeResult decode_handshake(Cursor& cursor, MessageType type) {
   const std::uint16_t version = cursor.u16();
   if (!cursor.ok) return fail(WireFault::Truncated, "handshake body too short");
   if (magic != kWireMagic) return fail(WireFault::BadMagic, "handshake magic mismatch");
-  // Accept the whole negotiable range, not just the current version: a v1
-  // peer's Hello (and the v1 HelloAck the server answers it with) must
-  // keep decoding after the version bump that added stats frames.
-  if (version < kWireMinVersion || version > kWireVersion) {
+  if (version != kWireVersion) {
     return fail(WireFault::BadVersion,
                 "protocol version " + std::to_string(version) + " not supported");
   }
   if (cursor.remaining() != 0) {
     return fail(WireFault::Malformed, "handshake: trailing bytes");
   }
-  result.message.version = version;
   return result;
 }
 
@@ -271,7 +264,7 @@ DecodeResult decode_stats_request(Cursor& cursor) {
                 "stats request: unknown format " + std::to_string(format));
   }
   // Optional trailing u64: the incremental-scrape cursor (--since). Either
-  // absent (the v2-era one-byte frame) or exactly eight bytes — anything
+  // absent (the one-byte frame) or exactly eight bytes — anything
   // else is malformed, so framing bugs cannot masquerade as a cursor.
   if (cursor.remaining() == 8) {
     result.message.stats_since = cursor.u64();
@@ -318,37 +311,32 @@ DecodeResult decode_error(Cursor& cursor) {
   return result;
 }
 
+void encode_handshake(std::vector<std::uint8_t>& out, MessageType type) {
+  const std::size_t slot = open_frame(out, type);
+  put_u32(out, kWireMagic);
+  put_u16(out, kWireVersion);
+  close_frame(out, slot);
+}
+
 }  // namespace
 
-void encode_hello(std::vector<std::uint8_t>& out, std::uint16_t version) {
-  const std::size_t slot = open_frame(out, MessageType::Hello);
-  put_u32(out, kWireMagic);
-  put_u16(out, version);
-  close_frame(out, slot);
+void encode_hello(std::vector<std::uint8_t>& out) { encode_handshake(out, MessageType::Hello); }
+
+void encode_hello_ack(std::vector<std::uint8_t>& out) {
+  encode_handshake(out, MessageType::HelloAck);
 }
 
-void encode_hello_ack(std::vector<std::uint8_t>& out, std::uint16_t version) {
-  const std::size_t slot = open_frame(out, MessageType::HelloAck);
-  put_u32(out, kWireMagic);
-  put_u16(out, version);
-  close_frame(out, slot);
-}
-
-void encode_request(std::vector<std::uint8_t>& out, const SolveRequest& request,
-                    std::uint16_t version) {
-  encode_request_traced(out, request, version, request.trace_id, request.trace_sampled);
+void encode_request(std::vector<std::uint8_t>& out, const SolveRequest& request) {
+  encode_request_traced(out, request, request.trace_id, request.trace_sampled);
 }
 
 void encode_request_traced(std::vector<std::uint8_t>& out, const SolveRequest& request,
-                           std::uint16_t version, std::uint64_t trace_id,
-                           bool trace_sampled) {
+                           std::uint64_t trace_id, bool trace_sampled) {
   // The wire carries k as one byte; emitting a frame whose declared
   // length disagrees with its payload would poison the whole pipelined
   // connection server-side, so refuse locally with a clear error.
   LPTSP_REQUIRE(request.p.k() <= 255, "wire format carries at most 255 p-vector entries");
-  // A v1-v3 server's decoder rejects flag values above 1, so the trace
-  // context (bits + trailing u64) is only emitted on v4+ connections.
-  const bool carry_trace = version >= kTraceContextMinVersion && trace_id != 0;
+  const bool carry_trace = trace_id != 0;
   std::uint8_t flags = request.engine.has_value() ? kRequestPinnedBit : 0;
   if (carry_trace) {
     flags |= kRequestTraceContextBit;
@@ -370,16 +358,10 @@ void encode_request_traced(std::vector<std::uint8_t>& out, const SolveRequest& r
   close_frame(out, slot);
 }
 
-void encode_response(std::vector<std::uint8_t>& out, const SolveResponse& response,
-                     std::uint16_t version) {
-  // Older decoders reject unknown flag bits, so the hint (bit + trailing
-  // u32) is only emitted on connections that negotiated v3+, and the
-  // server-timing echo (bit + two trailing u64s) only on v4+.
-  const bool carry_retry_after =
-      version >= kRetryAfterMinVersion && response.retry_after_ms != 0;
+void encode_response(std::vector<std::uint8_t>& out, const SolveResponse& response) {
+  const bool carry_retry_after = response.retry_after_ms != 0;
   const bool carry_server_timing =
-      version >= kTraceContextMinVersion &&
-      (response.server_queue_ns != 0 || response.server_service_ns != 0);
+      response.server_queue_ns != 0 || response.server_service_ns != 0;
   const std::size_t slot = open_frame(out, MessageType::Response);
   put_u64(out, response.id);
   put_u8(out, static_cast<std::uint8_t>(response.status));

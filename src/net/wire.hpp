@@ -26,39 +26,19 @@ namespace lptsp {
 
 /// Bytes "LPTS" when the u32 is written little-endian.
 inline constexpr std::uint32_t kWireMagic = 0x5354504CU;
-/// Current protocol version. v2 added StatsRequest/StatsReply; v3 added
-/// the retry-after hint on Response frames (flag bit + trailing u32, only
-/// emitted when the hint is nonzero); v4 added trace context on Request
-/// frames (flag bits + trailing u64 trace id), the server-timing echo on
-/// Response frames (flag bit + two trailing u64s), and the Journal stats
-/// format; still within v4, StatsRequest grew an optional trailing u64
-/// `since` cursor (incremental journal scrapes) and the Profile stats
-/// format — both additive, both rejected cleanly by older servers as
-/// malformed/unknown rather than misread. Every older frame is
-/// bit-identical in v4, so the handshake
-/// negotiates downward: the server accepts any version in
-/// [kWireMinVersion, kWireVersion] and acks with the client's (lower)
-/// version, on which the newer frames/fields are suppressed.
+/// The one protocol version. A Hello claiming any other version is
+/// refused with a typed BadVersion Error frame; there is no negotiation.
 inline constexpr std::uint16_t kWireVersion = 4;
-inline constexpr std::uint16_t kWireMinVersion = 1;
-/// First protocol version carrying StatsRequest/StatsReply.
-inline constexpr std::uint16_t kStatsMinVersion = 2;
-/// First protocol version whose Response frames may carry a retry-after
-/// hint (on RejectedOverload, for client backoff).
-inline constexpr std::uint16_t kRetryAfterMinVersion = 3;
-/// First protocol version carrying trace context on Requests, the
-/// server-timing echo on Responses, and the Journal stats format.
-inline constexpr std::uint16_t kTraceContextMinVersion = 4;
 
 enum class MessageType : std::uint8_t {
   Hello = 1,         ///< client -> server: magic + version
-  HelloAck = 2,      ///< server -> client: magic + negotiated version
+  HelloAck = 2,      ///< server -> client: magic + version
   Request = 3,       ///< client -> server: one SolveRequest
   Response = 4,      ///< server -> client: one SolveResponse (typed status)
   Error = 5,         ///< server -> client: protocol fault, connection closing
   Shutdown = 6,      ///< client -> server: flush pending responses and close
-  StatsRequest = 7,  ///< client -> server (v2+): scrape the metrics snapshot
-  StatsReply = 8,    ///< server -> client (v2+): rendered snapshot text
+  StatsRequest = 7,  ///< client -> server: scrape the metrics snapshot
+  StatsReply = 8,    ///< server -> client: rendered snapshot text
 };
 
 /// Compile-checked message-type names (no default + -Werror=switch: an
@@ -84,8 +64,8 @@ enum class StatsFormat : std::uint8_t {
   Prometheus = 2,  ///< Prometheus text exposition
   Text = 3,        ///< human-readable aligned table
   Traces = 4,      ///< slow-trace ring as a JSON array
-  Journal = 5,     ///< structured event journal as a JSON array (v4+)
-  Profile = 6,     ///< work-attribution profile as a JSON object (v4+)
+  Journal = 5,     ///< structured event journal as a JSON array
+  Profile = 6,     ///< work-attribution profile as a JSON object
 };
 
 constexpr const char* stats_format_name(StatsFormat format) noexcept {
@@ -134,7 +114,6 @@ struct WireLimits {
 /// One decoded message; `type` selects which fields are meaningful.
 struct WireMessage {
   MessageType type = MessageType::Hello;
-  std::uint16_t version = 0;     ///< Hello / HelloAck
   SolveRequest request;          ///< Request
   SolveResponse response;        ///< Response
   std::uint64_t error_id = 0;    ///< Error: offending request id (0 = none)
@@ -159,35 +138,25 @@ struct DecodeResult {
 // Encoders append one complete frame (length prefix included) to `out`.
 // Request/Response bodies are bit-exact round-trips: decode(encode(x))
 // reproduces every field the wire carries (the fuzz test asserts this).
-// The handshake encoders take the version to claim: clients send
-// kWireVersion, the server acks with whatever it negotiated (so a v1
-// client reads a v1 HelloAck and is none the wiser).
-void encode_hello(std::vector<std::uint8_t>& out, std::uint16_t version = kWireVersion);
-void encode_hello_ack(std::vector<std::uint8_t>& out, std::uint16_t version = kWireVersion);
-/// `version` is the NEGOTIATED connection version: a v1-v3 server's
-/// decoder rejects unknown request flag bits, so the trace context (flag
-/// bits + trailing u64 id) is only emitted when the connection speaks
-/// v4+ (and the request carries a nonzero trace id).
-void encode_request(std::vector<std::uint8_t>& out, const SolveRequest& request,
-                    std::uint16_t version = kWireVersion);
+void encode_hello(std::vector<std::uint8_t>& out);
+void encode_hello_ack(std::vector<std::uint8_t>& out);
+/// The trace context (flag bits + trailing u64 id) is emitted only when
+/// the request carries a nonzero trace id.
+void encode_request(std::vector<std::uint8_t>& out, const SolveRequest& request);
 /// Same frame, but with the trace context supplied out of band instead of
 /// read from the request. The traced client path stamps a generated id on
 /// every request; taking the override here means it never has to copy the
 /// request (and its graph) just to set two fields.
 void encode_request_traced(std::vector<std::uint8_t>& out, const SolveRequest& request,
-                           std::uint16_t version, std::uint64_t trace_id, bool trace_sampled);
-/// `version` is the NEGOTIATED connection version: a v1/v2 peer's decoder
-/// rejects unknown flag bits, so the retry-after hint is only emitted when
-/// the connection speaks v3+ (and the hint is nonzero), and the
-/// server-timing echo only on v4+ (when measured).
-void encode_response(std::vector<std::uint8_t>& out, const SolveResponse& response,
-                     std::uint16_t version = kWireVersion);
+                           std::uint64_t trace_id, bool trace_sampled);
+/// The retry-after hint is emitted only when nonzero, and the
+/// server-timing echo only when measured.
+void encode_response(std::vector<std::uint8_t>& out, const SolveResponse& response);
 void encode_error(std::vector<std::uint8_t>& out, std::uint64_t id, WireFault fault,
                   const std::string& message);
 void encode_shutdown(std::vector<std::uint8_t>& out);
 /// `since` (nonzero only for Journal scrapes) is appended as a trailing
-/// u64 when set; the plain one-byte frame stays bit-identical, so old
-/// servers keep accepting cursor-less requests.
+/// u64 when set; without it the frame is the plain one-byte body.
 void encode_stats_request(std::vector<std::uint8_t>& out, StatsFormat format,
                           std::uint64_t since = 0);
 void encode_stats_reply(std::vector<std::uint8_t>& out, StatsFormat format,

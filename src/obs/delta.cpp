@@ -111,7 +111,11 @@ std::string SnapshotDelta::to_text() const {
       out += "  ";
       append_padded(out, entry.name, name_width);
       out += right_aligned(fixed(entry.per_second, 1) + "/s", 14);
-      out += right_aligned("+" + std::to_string(entry.delta), 12);
+      // += rather than "+" + rvalue: GCC 12 flags the latter with a
+      // -Wrestrict false positive (PR105651).
+      std::string delta = "+";
+      delta += std::to_string(entry.delta);
+      out += right_aligned(delta, 12);
       out.push_back('\n');
     }
   }
@@ -246,7 +250,6 @@ std::optional<MetricsSnapshot> parse_prometheus(const std::string& text) {
     }
 
     // Histogram series? Match the longest declared histogram base name.
-    const MetricsSnapshot::HistogramValue* existing = nullptr;
     std::string base;
     std::string suffix;
     for (const auto& [declared, kind] : kinds) {

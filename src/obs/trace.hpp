@@ -33,14 +33,14 @@ enum class Stage : std::uint8_t {
   StoreWrite,     ///< cache insert + durable write-through
   CoalescedWait,  ///< joined an identical in-flight solve
   // Client-side stages (LabelingClient): one joined trace spans both
-  // processes when the wire carries the trace context (protocol v4+).
+  // processes when the wire carries the trace context.
   ClientConnect,      ///< TCP connect + Hello/HelloAck handshake
   ClientSerialize,    ///< request encode into the wire frame
   ClientSend,         ///< write_all of the encoded frame
   ServerTurnaround,   ///< send complete -> response frame decoded
   ClientDeserialize,  ///< response frame decode
   // Server-reported stages, synthesized on the client from the timings
-  // the v4 Response echoes back (nested under ServerTurnaround).
+  // the Response echoes back (nested under ServerTurnaround).
   ServerQueue,    ///< server-side queue wait (echoed)
   ServerService,  ///< server-side service time (echoed)
 };
@@ -93,7 +93,7 @@ struct Span {
 /// front and total/result when the response is built.
 struct Trace {
   std::uint64_t request_id = 0;
-  /// Cross-process trace id (0 = none). Carried on wire v4 Requests so
+  /// Cross-process trace id (0 = none). Carried on wire Requests so
   /// the client-side and server-side rings can be joined on one id.
   std::uint64_t trace_id = 0;
   /// Sampled traces bypass the ring's slow threshold: a client that set

@@ -420,8 +420,8 @@ SolveResponse BatchSolver::solve_one_timed(const SolveRequest& request,
   if (options_.metrics) {
     tp = &trace;
     trace.request_id = request.id;
-    // Adopt the client's trace context (v4 wire): the ring then holds
-    // the server half of a joined cross-process trace, and a sampled id
+    // Adopt the client's trace context: the ring then holds the server
+    // half of a joined cross-process trace, and a sampled id
     // bypasses the slow threshold so the client's ask is honored.
     trace.trace_id = request.trace_id;
     trace.sampled = request.trace_sampled;
@@ -447,8 +447,7 @@ SolveResponse BatchSolver::solve_one_timed(const SolveRequest& request,
       respond(request, form, outcome, ResponseSource::Solved, timer.seconds());
   if (tp != nullptr) {
     // Echo the split the client cannot see: how long its request sat in
-    // the queue vs how long the pipeline worked on it. Carried on v4+
-    // responses; encode_response suppresses it for older peers.
+    // the queue vs how long the pipeline worked on it.
     response.server_queue_ns = queue_ns;
     response.server_service_ns = obs::steady_now_ns() - trace.origin_ns - queue_ns;
     finish_trace(std::move(trace), response.status == SolveStatus::Ok
@@ -494,14 +493,17 @@ void BatchSolver::finish_trace(obs::Trace&& trace, const char* result) {
 bool BatchSolver::admit(const SolveRequest& request, std::uint64_t& admitted_work_ns) {
   admitted_work_ns = 0;
   if (options_.max_pending_requests != 0 &&
-      request_pool_.pending() >= options_.max_pending_requests) {
+      pending_requests_.load(std::memory_order_relaxed) >= options_.max_pending_requests) {
     // Rejected submissions still count toward requests_total (they got a
     // response), so rejected/total is a meaningful rejection ratio.
     requests_total_.add();
     rejected_overload_.add();
     return false;
   }
-  if (options_.max_pending_work_ns == 0 && !options_.tuner.enabled) return true;
+  if (options_.max_pending_work_ns == 0 && !options_.tuner.enabled) {
+    pending_requests_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
   // Price the request by its size bucket and budget. The canonical key is
   // unknown this early (canonicalization happens on a worker), so the
   // prediction is per-size, not per-key — the hot-key table still feeds
@@ -525,7 +527,13 @@ bool BatchSolver::admit(const SolveRequest& request, std::uint64_t& admitted_wor
   // the server's retry-after hint reads it either way.
   pending_work_ns_.fetch_add(predicted, std::memory_order_relaxed);
   admitted_work_ns = predicted;
+  pending_requests_.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+void BatchSolver::release(std::uint64_t admitted_work_ns) noexcept {
+  pending_work_ns_.fetch_sub(admitted_work_ns, std::memory_order_relaxed);
+  pending_requests_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 namespace {
@@ -550,15 +558,15 @@ std::future<SolveResponse> BatchSolver::submit(SolveRequest request) {
   const std::uint64_t enqueued_ns = options_.metrics ? obs::steady_now_ns() : 0;
   return request_pool_.submit(
       [this, request = std::move(request), enqueued_ns, admitted_work_ns]() -> SolveResponse {
-        // Release exactly the predicted cost charged at admission, on
-        // every exit path — a leaked charge would ratchet the work gauge
-        // up until admission rejected everything.
+        // Release exactly what admission charged, on every exit path and
+        // before the future is ready — a leaked charge would ratchet the
+        // gauges up until admission rejected everything.
         try {
           SolveResponse response = solve_one_timed(request, enqueued_ns);
-          pending_work_ns_.fetch_sub(admitted_work_ns, std::memory_order_relaxed);
+          release(admitted_work_ns);
           return response;
         } catch (...) {
-          pending_work_ns_.fetch_sub(admitted_work_ns, std::memory_order_relaxed);
+          release(admitted_work_ns);
           throw;
         }
       });
@@ -584,7 +592,7 @@ void BatchSolver::submit_async(SolveRequest request, std::function<void(SolveRes
       response.status = SolveStatus::EngineFailure;
       response.message = e.what();
     }
-    pending_work_ns_.fetch_sub(admitted_work_ns, std::memory_order_relaxed);
+    release(admitted_work_ns);
     done(std::move(response));
   });
 }

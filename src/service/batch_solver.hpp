@@ -54,8 +54,8 @@ class BatchSolver {
     bool use_cache = true;         ///< false = every request solves fresh
     std::uint64_t seed = 1;        ///< seed for pinned-engine solves
     /// Admission control for the streaming front-ends (submit /
-    /// submit_async): when this many requests are already queued or
-    /// running on the request pool, new submissions are answered
+    /// submit_async): when this many requests are already admitted and
+    /// not yet answered (pending_requests()), new submissions are answered
     /// immediately with SolveStatus::RejectedOverload instead of growing
     /// the backlog without bound. 0 = unlimited (solve_batch is never
     /// gated: its caller already bounded the batch).
@@ -71,8 +71,8 @@ class BatchSolver {
     std::uint64_t max_pending_work_ns = 0;
     /// The learning layer (see src/service/tuner.hpp): decayed exact-skip
     /// pre-trim with re-probe, per-bucket effort tuning, and the
-    /// admission cost predictor. tuner.enabled = false reverts the
-    /// portfolio to its static built-in policies.
+    /// admission cost predictor. tuner.enabled = false leaves the tuner
+    /// detached: every race launches the exact engine at 100% effort.
     TunerOptions tuner;
     /// Durable store file (see src/store/): when non-empty, verified solve
     /// results are written through to this append-only log, reloaded and
@@ -178,9 +178,13 @@ class BatchSolver {
   /// amortization claim, and what the dedupe tests assert on.
   [[nodiscard]] std::uint64_t engine_solves() const noexcept { return engine_solves_.value(); }
 
-  /// Requests queued or running on the request pool right now — the
-  /// queue-depth gauge admission control reads, exported for monitoring.
-  [[nodiscard]] std::size_t pending_requests() const { return request_pool_.pending(); }
+  /// Streaming submissions (submit / submit_async) admitted and not yet
+  /// answered — the queue-depth gauge admission control reads, exported
+  /// for monitoring. A request leaves it before its response is
+  /// published, so a caller holding the response never still counts.
+  [[nodiscard]] std::size_t pending_requests() const noexcept {
+    return pending_requests_.load(std::memory_order_relaxed);
+  }
 
   /// Submissions turned away by admission control since construction.
   [[nodiscard]] std::uint64_t rejected_overload() const noexcept {
@@ -259,6 +263,8 @@ class BatchSolver {
   /// boundary) — the bounds are backpressure valves, not exact
   /// semaphores.
   bool admit(const SolveRequest& request, std::uint64_t& admitted_work_ns);
+  /// Undo one admission's charges; runs before the response is published.
+  void release(std::uint64_t admitted_work_ns) noexcept;
 
   // Declaration order doubles as teardown order (reversed): request_pool_
   // is declared LAST so its destructor — which drains still-queued request
@@ -285,6 +291,8 @@ class BatchSolver {
   obs::Counter engine_solves_;
   obs::Counter rejected_overload_;
   obs::Counter rejected_work_priced_;
+  /// Admitted but unanswered requests (see pending_requests()).
+  std::atomic<std::size_t> pending_requests_{0};
   /// Predicted ns admitted but not finished (see pending_work_ns()).
   std::atomic<std::uint64_t> pending_work_ns_{0};
   // Per-stage latency histograms, fed from completed traces (metrics on

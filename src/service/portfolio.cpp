@@ -24,18 +24,6 @@ static_assert(EngineTuner::kBuckets == EnginePortfolio::kBuckets,
 
 namespace {
 
-/// Without a tuner: once the exact engine has this many heuristic losses
-/// on record at a size bucket and no win, stop launching it by default —
-/// but see kFallbackReprobeEvery below; the skip is never permanent.
-constexpr std::uint64_t kExactSkipThreshold = 8;
-
-/// Without a tuner: every Nth otherwise-skipped race launches the exact
-/// engine anyway. The win table is cumulative (and merged from persisted
-/// state on restart), so a skip gated only on its counts would be
-/// self-reinforcing — the exact engine could never earn the win that
-/// lifts the skip.
-constexpr std::uint64_t kFallbackReprobeEvery = 16;
-
 struct Run {
   EngineAttempt attempt;
   PathSolution solution;
@@ -132,10 +120,9 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
   // its anytime incumbent, which matters on deadline-bound traffic.
   // Learned per-bucket effort: scales heuristic kicks and the exact
   // budgets; 100% with the default overrun factor when no tuner is
-  // attached (or learning is off).
-  EngineTuner* const tuner = options_.learn ? tuner_ : nullptr;
+  // attached.
   const EffortPolicy effort =
-      tuner != nullptr ? tuner->effort(bucket_of(n)) : EffortPolicy{};
+      tuner_ != nullptr ? tuner_->effort(bucket_of(n)) : EffortPolicy{};
 
   bool use_hk = n <= std::min(options_.exact_max_n, kHeldKarpMemoryCapN);
   if (use_hk && deadline.count() > 0) {
@@ -152,25 +139,10 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
     run_exact = false;
     races_heuristic_only_.add();
   }
-  if (run_exact && options_.learn) {
-    const int bucket_index = bucket_of(n);
-    if (tuner != nullptr) {
-      // Decayed pre-trim with epsilon re-probe (the tuner journals its
-      // own trim flips and counts skips/re-probes).
-      run_exact = tuner->admit_exact(bucket_index);
-    } else {
-      const auto& bucket = wins_[static_cast<std::size_t>(bucket_index)];
-      const std::uint64_t exact_wins = bucket[0].load(std::memory_order_relaxed) +
-                                       bucket[1].load(std::memory_order_relaxed);
-      const std::uint64_t heuristic_wins = bucket[2].load(std::memory_order_relaxed);
-      if (exact_wins == 0 && heuristic_wins >= kExactSkipThreshold) {
-        const std::uint64_t skips =
-            skip_streak_[static_cast<std::size_t>(bucket_index)].fetch_add(
-                1, std::memory_order_relaxed) +
-            1;
-        if (skips % kFallbackReprobeEvery != 0) run_exact = false;
-      }
-    }
+  if (run_exact && tuner_ != nullptr) {
+    // Decayed pre-trim with epsilon re-probe (the tuner journals its own
+    // trim flips and counts skips/re-probes).
+    run_exact = tuner_->admit_exact(bucket_of(n));
   }
 
   std::atomic<bool> cancel{false};
@@ -323,14 +295,14 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
     races_failed_.add();
   }
   outcome.seconds = timer.seconds();
-  if (tuner != nullptr) {
+  if (tuner_ != nullptr) {
     // Feed the race back: contested mirrors the win table's rule, so the
     // tuner's decayed scores and the persisted counts learn from the same
     // evidence. Walkovers still teach the latency predictor and the
     // effort windows — they are real costs the admission gate must price.
     const bool exact_won = best >= 0 && (outcome.winner == Engine::HeldKarp ||
                                          outcome.winner == Engine::BranchBound);
-    tuner->observe_race(bucket_of(n), exact_won, best >= 0 && verified_attempts >= 2,
+    tuner_->observe_race(bucket_of(n), exact_won, best >= 0 && verified_attempts >= 2,
                         static_cast<std::uint64_t>(outcome.seconds * 1e9), deadline.count());
   }
   return outcome;

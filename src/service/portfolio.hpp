@@ -32,9 +32,6 @@ struct PortfolioOptions {
   /// BranchBound search cap per race, independent of the deadline.
   long long bb_node_limit = 20'000'000;
   std::uint64_t seed = 1;
-  /// Record race winners per instance-size bucket and skip the exact
-  /// engine once it has demonstrably never won at that size.
-  bool learn = true;
 };
 
 /// One engine's run inside a race, for provenance and tests.
@@ -95,10 +92,11 @@ class EnginePortfolio {
   static constexpr int kHeldKarpMemoryCapN = 22;
 
   /// Attach the learning layer (not owned; must outlive every race).
-  /// When attached and options.learn is set, race() consults the tuner
-  /// for the exact-engine pre-trim decision and per-bucket effort, and
-  /// reports every finished race back. Call before serving traffic —
-  /// attachment is not synchronized against in-flight races.
+  /// When attached, race() consults the tuner for the exact-engine
+  /// pre-trim decision and per-bucket effort, and reports every finished
+  /// race back; without one, every race launches the exact engine at
+  /// 100% effort. Call before serving traffic — attachment is not
+  /// synchronized against in-flight races.
   void attach_tuner(EngineTuner* tuner) noexcept { tuner_ = tuner; }
 
   /// Flat snapshot of the win table (kBuckets * kSlots counters,
@@ -141,11 +139,6 @@ class EnginePortfolio {
   PortfolioOptions options_;
   EngineTuner* tuner_ = nullptr;
   std::array<std::array<std::atomic<std::uint64_t>, kSlots>, kBuckets> wins_{};
-  /// Per-bucket otherwise-skipped race counters for the built-in epsilon
-  /// re-probe (used when no tuner is attached): every Nth skip launches
-  /// the exact engine anyway, so the skip rule can never freeze on a
-  /// merged heuristic-heavy win table.
-  std::array<std::atomic<std::uint64_t>, kBuckets> skip_streak_{};
   // Observability storage, indexed by slot_of(). The win table above is
   // learning state (bucketed by size, persisted); these are monitoring
   // counters (global per engine, reset on restart) — different consumers,

@@ -29,8 +29,7 @@ struct SolveRequest {
   /// Caller correlation tag, echoed back verbatim in the response.
   std::uint64_t id = 0;
   /// Cross-process trace context: a client-generated id joining the
-  /// client's and server's trace rings. 0 = no context. Carried on the
-  /// wire from protocol v4; older peers simply never see it.
+  /// client's and server's trace rings. 0 = no context.
   std::uint64_t trace_id = 0;
   /// The client asked for this trace to be retained end to end (bypasses
   /// the server ring's slow threshold).
@@ -72,13 +71,11 @@ struct SolveResponse {
   bool reduction_cached = false;  ///< the all-pairs BFS was skipped
   double seconds = 0;             ///< wall time spent on this request
   /// RejectedOverload hint: how long the client should back off before
-  /// retrying, in milliseconds. 0 = no hint. Carried on the wire from
-  /// protocol v3; older peers simply never see it.
+  /// retrying, in milliseconds. 0 = no hint.
   std::uint32_t retry_after_ms = 0;
   /// Server-side timing echo: queue wait and service time in
   /// nanoseconds, so the client can split its observed turnaround into
-  /// transit vs server work. 0 = not measured. Carried on the wire from
-  /// protocol v4; older peers simply never see it.
+  /// transit vs server work. 0 = not measured.
   std::uint64_t server_queue_ns = 0;
   std::uint64_t server_service_ns = 0;
 

@@ -34,8 +34,9 @@
 namespace lptsp {
 
 struct TunerOptions {
-  /// Master switch: disabled, admit_exact always launches the exact
-  /// engine's slot per the static rules and effort stays at 100%.
+  /// Master switch, and the portfolio's only learning switch: disabled,
+  /// admit_exact always launches the exact engine and effort stays at
+  /// 100% (BatchSolver then leaves the tuner detached).
   bool enabled = true;
 
   // --- pre-trim with re-probe ---

@@ -3,11 +3,11 @@
 #include "obs/journal.hpp"
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <thread>
 
 namespace lptsp {
 
@@ -50,6 +50,9 @@ struct SiteState {
 // takes it.
 std::mutex g_mutex;
 SiteState g_sites[kFaultSiteCount];
+/// Bumped by every disarm of a site; a stall in progress ends when it moves.
+std::uint64_t g_disarm_epoch[kFaultSiteCount]{};
+std::condition_variable g_disarmed;
 
 /// Process-wide LPTSP_FAULTS arming, run once before main() from this
 /// TU's initializer. It touches only this file's own statics (constant-
@@ -110,9 +113,13 @@ void arm(FaultSite site, double probability, std::uint64_t seed, std::uint64_t m
 
 void disarm(FaultSite site) {
   const auto index = static_cast<std::size_t>(site);
-  const std::lock_guard lock(g_mutex);
-  detail::g_armed[index].store(false, std::memory_order_relaxed);
-  g_sites[index] = SiteState{};
+  {
+    const std::lock_guard lock(g_mutex);
+    detail::g_armed[index].store(false, std::memory_order_relaxed);
+    g_sites[index] = SiteState{};
+    ++g_disarm_epoch[index];
+  }
+  g_disarmed.notify_all();
 }
 
 void disarm_all() {
@@ -135,13 +142,14 @@ std::uint64_t param(FaultSite site) {
 
 void maybe_stall(FaultSite site) {
   if (!should_fail(site)) return;
-  std::uint64_t stall_ms;
-  {
-    const std::lock_guard lock(g_mutex);
-    stall_ms = g_sites[static_cast<std::size_t>(site)].param;
-  }
-  if (stall_ms == 0) stall_ms = kDefaultStallMs;
-  std::this_thread::sleep_for(std::chrono::milliseconds{stall_ms});
+  const auto index = static_cast<std::size_t>(site);
+  std::unique_lock lock(g_mutex);
+  if (!detail::g_armed[index].load(std::memory_order_relaxed)) return;  // disarmed meanwhile
+  const std::uint64_t stall_ms =
+      g_sites[index].param != 0 ? g_sites[index].param : kDefaultStallMs;
+  const std::uint64_t epoch = g_disarm_epoch[index];
+  g_disarmed.wait_for(lock, std::chrono::milliseconds{stall_ms},
+                      [&] { return g_disarm_epoch[index] != epoch; });
 }
 
 bool arm_from_spec(const std::string& spec, std::string& error) {

@@ -95,7 +95,9 @@ void disarm_all();
 [[nodiscard]] std::uint64_t param(FaultSite site);
 
 /// Sleep for the site's param milliseconds (default 25) when the site
-/// fires. The stall helper for FaultSite::EngineStall.
+/// fires, or until the site is disarmed, whichever comes first. The stall
+/// helper for FaultSite::EngineStall: a test holds an engine race with a
+/// long one-shot stall and releases it by disarming.
 void maybe_stall(FaultSite site);
 
 /// Parse and apply one LPTSP_FAULTS spec ("site:prob:seed[:param],...").

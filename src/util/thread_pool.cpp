@@ -58,6 +58,13 @@ void ThreadPool::parallel_blocks(std::size_t count,
     return;
   }
   std::unique_lock lock(mutex_);
+  if (job_ != nullptr) {
+    // Another region owns the pool; overwriting job_ would hand its
+    // workers this region's indices.
+    lock.unlock();
+    fn(0, count);
+    return;
+  }
   job_ = &fn;
   job_count_ = count;
   next_block_ = 0;
@@ -108,11 +115,6 @@ TaskPool::~TaskPool() {
   }
   ready_.notify_all();
   for (auto& worker : workers_) worker.join();
-}
-
-std::size_t TaskPool::pending() const {
-  std::lock_guard lock(mutex_);
-  return queue_.size() + in_flight_;
 }
 
 void TaskPool::drain() {

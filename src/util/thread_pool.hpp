@@ -37,7 +37,11 @@ class ThreadPool {
 
   /// Run fn(i) for every i in [0, count), split into blocks across workers.
   /// Blocks until the whole range is processed. The body must be safe to
-  /// run concurrently for distinct indices.
+  /// run concurrently for distinct indices. The pool runs one region at a
+  /// time: a call that finds another region in progress (a concurrent
+  /// caller, or a nested call from a loop body) runs its whole range
+  /// inline on the calling thread instead of waiting, so it cannot
+  /// deadlock.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// Run fn(block_begin, block_end) on contiguous blocks of [0, count).
@@ -56,7 +60,8 @@ class ThreadPool {
   std::condition_variable work_ready_;
   std::condition_variable work_done_;
 
-  // Current parallel region; guarded by mutex_.
+  // Current parallel region; guarded by mutex_. job_ != nullptr means a
+  // region is in progress and owns the fields below.
   const std::function<void(std::size_t, std::size_t)>* job_ = nullptr;
   std::size_t job_count_ = 0;
   std::size_t next_block_ = 0;
@@ -91,9 +96,6 @@ class TaskPool {
   /// Number of worker threads (>= 1).
   [[nodiscard]] unsigned size() const noexcept { return static_cast<unsigned>(workers_.size()); }
 
-  /// Tasks submitted but not yet finished (approximate, for monitoring).
-  [[nodiscard]] std::size_t pending() const;
-
   /// Block until every task submitted so far has finished (queue empty and
   /// nothing in flight). Tasks submitted while draining extend the wait.
   /// Must not be called from inside a task of this pool.
@@ -120,7 +122,7 @@ class TaskPool {
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable ready_;
   std::condition_variable idle_;  ///< signaled when the pool goes idle
   std::deque<std::function<void()>> queue_;

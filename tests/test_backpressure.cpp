@@ -7,6 +7,7 @@
 
 #include "graph/generators.hpp"
 #include "service/batch_solver.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace lptsp {
@@ -17,9 +18,21 @@ namespace {
 // answered immediately with a typed RejectedOverload response — never
 // queued without bound, never an exception.
 
-SolveRequest slow_request(Rng& rng, std::uint64_t id) {
-  // Unique diameter-2 graphs with a real race deadline: each occupies a
-  // worker for ~deadline, so a rapid burst reliably exceeds the gate.
+/// Holds the first engine race on its worker until release(): engine.stall
+/// fires once with a stall far longer than any test, and disarming ends
+/// it. The admitted request stays pending for exactly as long as the test
+/// says, however fast the engines are.
+class HeldRace {
+ public:
+  HeldRace() { fault::arm(FaultSite::EngineStall, 1.0, 1, 1, 60'000); }
+  ~HeldRace() { release(); }
+  HeldRace(const HeldRace&) = delete;
+  HeldRace& operator=(const HeldRace&) = delete;
+  void release() { fault::disarm_all(); }
+};
+
+SolveRequest race_request(Rng& rng, std::uint64_t id) {
+  // Unique diameter-2 graphs: every request reaches an engine race.
   SolveRequest request;
   request.graph = random_with_diameter_at_most(40, 2, 0.2, rng);
   request.p = PVec::L21();
@@ -33,12 +46,14 @@ TEST(Backpressure, OverLimitSubmitsResolveImmediatelyWithTypedRejection) {
   options.max_pending_requests = 1;
   options.request_workers = 1;
   BatchSolver solver(options);
+  HeldRace held;
 
   Rng rng(3);
   std::vector<std::future<SolveResponse>> futures;
   for (std::uint64_t id = 1; id <= 6; ++id) {
-    futures.push_back(solver.submit(slow_request(rng, id)));
+    futures.push_back(solver.submit(race_request(rng, id)));
   }
+  held.release();
   std::uint64_t ok = 0;
   std::uint64_t rejected = 0;
   for (std::size_t i = 0; i < futures.size(); ++i) {
@@ -64,11 +79,12 @@ TEST(Backpressure, SubmitAsyncRejectsInlineBeforeReturning) {
   options.max_pending_requests = 1;
   options.request_workers = 1;
   BatchSolver solver(options);
+  HeldRace held;
 
   Rng rng(5);
   // Occupy the single admission slot.
   std::promise<SolveResponse> first_done;
-  solver.submit_async(slow_request(rng, 1),
+  solver.submit_async(race_request(rng, 1),
                       [&first_done](SolveResponse response) {
                         first_done.set_value(std::move(response));
                       });
@@ -77,7 +93,7 @@ TEST(Backpressure, SubmitAsyncRejectsInlineBeforeReturning) {
   // inline, before submit_async returns.
   std::atomic<bool> callback_ran{false};
   SolveResponse rejected;
-  solver.submit_async(slow_request(rng, 2), [&](SolveResponse response) {
+  solver.submit_async(race_request(rng, 2), [&](SolveResponse response) {
     rejected = std::move(response);
     callback_ran.store(true);
   });
@@ -85,6 +101,7 @@ TEST(Backpressure, SubmitAsyncRejectsInlineBeforeReturning) {
   EXPECT_EQ(rejected.status, SolveStatus::RejectedOverload);
   EXPECT_EQ(rejected.id, 2u);
 
+  held.release();
   const SolveResponse first = first_done.get_future().get();
   EXPECT_TRUE(first.ok()) << first.message;
   EXPECT_EQ(first.id, 1u);

@@ -328,7 +328,9 @@ TEST_F(ChaosNetTest, MixedFaultScheduleNeverCrashesAndNeverLies) {
 
   // Fault-free epilogue: full recovery, no residue.
   fault::disarm_all();
-  if (!client.connected()) ASSERT_TRUE(client.reconnect());
+  if (!client.connected()) {
+    ASSERT_TRUE(client.reconnect());
+  }
   const Graph fresh = random_with_diameter_at_most(12, 2, 0.3, rng);
   const SolveResponse after = client.solve_retry(request_for(fresh, 999));
   ASSERT_TRUE(after.ok()) << after.message;

@@ -17,6 +17,7 @@
 #include "net/server.hpp"
 #include "obs/journal.hpp"
 #include "obs/trace.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace lptsp {
@@ -71,6 +72,18 @@ class RawSocket {
 
  private:
   int fd_ = -1;
+};
+
+/// Holds the first engine race on its worker until release(): engine.stall
+/// fires once with a stall far longer than any test, and disarming ends
+/// it. Admission tests use it so nothing depends on how long a solve takes.
+class HeldRace {
+ public:
+  HeldRace() { fault::arm(FaultSite::EngineStall, 1.0, 1, 1, 60'000); }
+  ~HeldRace() { release(); }
+  HeldRace(const HeldRace&) = delete;
+  HeldRace& operator=(const HeldRace&) = delete;
+  void release() { fault::disarm_all(); }
 };
 
 class NetServerTest : public ::testing::Test {
@@ -272,11 +285,12 @@ TEST_F(NetServerTest, OverInflightLimitRequestsAreRejectedTyped) {
   LabelingServer::Options server_options;
   server_options.max_inflight_per_connection = 1;
   BatchSolver::Options solver_options;
-  // Unique graphs + a real race deadline: each solve occupies the single
-  // in-flight slot long enough that the pipelined burst behind it is
-  // answered by admission control, not by the solver getting there first.
+  // Unique graphs, and the first race held on its worker: the pipelined
+  // burst behind it is answered by admission control, never by the solver
+  // getting there first.
   solver_options.portfolio.deadline = std::chrono::milliseconds{150};
   start(server_options, solver_options);
+  HeldRace held;  // the first admitted request holds the slot until released
 
   LabelingClient client;
   client.connect("127.0.0.1", server_->port());
@@ -289,6 +303,9 @@ TEST_F(NetServerTest, OverInflightLimitRequestsAreRejectedTyped) {
   std::uint64_t rejected = 0;
   std::vector<bool> seen(kBurst + 1, false);
   for (std::uint64_t i = 0; i < kBurst; ++i) {
+    // The held request cannot answer first, so the first reply is a
+    // rejection; after it the slot may drain.
+    if (i == 1) held.release();
     const SolveResponse response = client.next();
     ASSERT_GE(response.id, 1u);
     ASSERT_LE(response.id, kBurst);
@@ -317,6 +334,7 @@ TEST_F(NetServerTest, SolverLevelAdmissionControlAnswersTyped) {
   solver_options.request_workers = 1;
   solver_options.portfolio.deadline = std::chrono::milliseconds{150};
   start(server_options, solver_options);
+  HeldRace held;  // the one admitted request stays pending until released
 
   LabelingClient client;
   client.connect("127.0.0.1", server_->port());
@@ -327,6 +345,7 @@ TEST_F(NetServerTest, SolverLevelAdmissionControlAnswersTyped) {
   }
   std::uint64_t rejected = 0;
   for (std::uint64_t i = 0; i < kBurst; ++i) {
+    if (i == 1) held.release();  // the first reply is necessarily a rejection
     const SolveResponse response = client.next();
     if (response.status == SolveStatus::RejectedOverload) ++rejected;
   }
@@ -378,67 +397,18 @@ TEST_F(NetServerTest, StatsScrapeReflectsTheWorkload) {
   client.shutdown();
 }
 
-TEST_F(NetServerTest, V1ClientsStillInteroperate) {
-  start();
-  RawSocket raw(server_->port());
-  std::vector<std::uint8_t> bytes;
-  encode_hello(bytes, 1);  // a pre-stats client
-  SolveRequest request = request_for(complete_graph(5), 77);
-  encode_request(bytes, request);
-  raw.send(bytes);
-  raw.shutdown_write();
-
-  const std::vector<std::uint8_t> reply = raw.read_to_eof();
-  FrameReader reader;
-  reader.feed(reply.data(), reply.size());
-  DecodeResult result;
-  ASSERT_TRUE(reader.next(result));
-  ASSERT_TRUE(result.ok()) << result.detail;
-  ASSERT_EQ(result.message.type, MessageType::HelloAck);
-  // The ack mirrors the client's version so a strict v1 decoder accepts it.
-  EXPECT_EQ(result.message.version, 1u);
-  ASSERT_TRUE(reader.next(result));
-  ASSERT_TRUE(result.ok()) << result.detail;
-  ASSERT_EQ(result.message.type, MessageType::Response);
-  EXPECT_EQ(result.message.response.id, 77u);
-  EXPECT_TRUE(result.message.response.ok());
-}
-
-TEST_F(NetServerTest, StatsOnAV1ConnectionIsRefusedTyped) {
-  start();
-  RawSocket raw(server_->port());
-  std::vector<std::uint8_t> bytes;
-  encode_hello(bytes, 1);
-  encode_stats_request(bytes, StatsFormat::Json);
-  raw.send(bytes);
-
-  const std::vector<std::uint8_t> reply = raw.read_to_eof();  // server closes
-  FrameReader reader;
-  reader.feed(reply.data(), reply.size());
-  DecodeResult result;
-  ASSERT_TRUE(reader.next(result));
-  ASSERT_EQ(result.message.type, MessageType::HelloAck);
-  ASSERT_TRUE(reader.next(result));
-  ASSERT_TRUE(result.ok()) << result.detail;
-  ASSERT_EQ(result.message.type, MessageType::Error);
-  EXPECT_EQ(result.message.error_fault, WireFault::Malformed);
-  EXPECT_NE(result.message.error_message.find("version"), std::string::npos);
-  EXPECT_EQ(server_->counters().stats_requests, 0u);
-}
-
 TEST_F(NetServerTest, TracedClientAndServerShareOneTraceId) {
   start();
   ClientOptions options;
   options.trace = true;
   LabelingClient client(options);
   client.connect("127.0.0.1", server_->port());
-  EXPECT_EQ(client.negotiated_version(), kWireVersion);
 
   Rng rng(19);
   const Graph graph = random_with_diameter_at_most(12, 2, 0.3, rng);
   const SolveResponse response = client.solve(request_for(graph, 31));
   ASSERT_TRUE(response.ok()) << response.message;
-  // The v4 server echoes where its time went; the solve actually ran, so
+  // The server echoes where its time went; the solve actually ran, so
   // service time is nonzero.
   EXPECT_GT(response.server_service_ns, 0u);
 
@@ -477,66 +447,44 @@ TEST_F(NetServerTest, TracedClientAndServerShareOneTraceId) {
   client.shutdown();
 }
 
-TEST_F(NetServerTest, JournalIsScrapableOnV4AndRefusedBelow) {
+TEST_F(NetServerTest, JournalIsScrapable) {
   start();
   obs::journal().clear();
   obs::journal().emit(obs::EventType::StoreHealed, obs::EventLevel::Info);
-  {
-    LabelingClient client;
-    client.connect("127.0.0.1", server_->port());
-    const std::string journal = client.stats(StatsFormat::Journal);
-    EXPECT_NE(journal.find("\"type\":\"store-healed\""), std::string::npos) << journal;
-    client.shutdown();
-  }
-  // A v3 peer asking for the journal format gets a typed refusal naming
-  // the version, exactly like stats-on-v1.
-  RawSocket raw(server_->port());
-  std::vector<std::uint8_t> bytes;
-  encode_hello(bytes, 3);
-  encode_stats_request(bytes, StatsFormat::Journal);
-  raw.send(bytes);
-  const std::vector<std::uint8_t> reply = raw.read_to_eof();
-  FrameReader reader;
-  reader.feed(reply.data(), reply.size());
-  DecodeResult result;
-  ASSERT_TRUE(reader.next(result));
-  ASSERT_EQ(result.message.type, MessageType::HelloAck);
-  EXPECT_EQ(result.message.version, 3u);
-  ASSERT_TRUE(reader.next(result));
-  ASSERT_TRUE(result.ok()) << result.detail;
-  ASSERT_EQ(result.message.type, MessageType::Error);
-  EXPECT_EQ(result.message.error_fault, WireFault::Malformed);
-  EXPECT_NE(result.message.error_message.find("version 4"), std::string::npos)
-      << result.message.error_message;
+  LabelingClient client;
+  client.connect("127.0.0.1", server_->port());
+  const std::string journal = client.stats(StatsFormat::Journal);
+  EXPECT_NE(journal.find("\"type\":\"store-healed\""), std::string::npos) << journal;
+  client.shutdown();
 }
 
-TEST_F(NetServerTest, V3ClientsNeverSeeTraceContext) {
-  // A traced client on a v3 connection suppresses the new flag bits
-  // entirely — the old-decoder interop pin for wire v4.
+TEST_F(NetServerTest, OlderHelloIsRefusedWithBadVersion) {
+  // There is one wire version: a v3 peer's Hello gets the typed
+  // bad-version Error instead of an ack, and nothing it sends after the
+  // Hello is served.
   start();
   RawSocket raw(server_->port());
   std::vector<std::uint8_t> bytes;
-  encode_hello(bytes, 3);
-  SolveRequest request = request_for(complete_graph(5), 88);
-  request.trace_id = 0x1234u;  // would need v4; must be dropped at encode
-  request.trace_sampled = true;
-  encode_request(bytes, request, 3);
+  encode_hello(bytes);
+  bytes[9] = 3;  // version low byte: len(4) type(1) magic(4)
+  bytes[10] = 0;
+  encode_stats_request(bytes, StatsFormat::Journal);
   raw.send(bytes);
-  raw.shutdown_write();
-  const std::vector<std::uint8_t> reply = raw.read_to_eof();
+  const std::vector<std::uint8_t> reply = raw.read_to_eof();  // server closes
   FrameReader reader;
   reader.feed(reply.data(), reply.size());
   DecodeResult result;
   ASSERT_TRUE(reader.next(result));
-  ASSERT_EQ(result.message.type, MessageType::HelloAck);
-  EXPECT_EQ(result.message.version, 3u);
-  ASSERT_TRUE(reader.next(result));
   ASSERT_TRUE(result.ok()) << result.detail;
-  ASSERT_EQ(result.message.type, MessageType::Response);
-  EXPECT_TRUE(result.message.response.ok());
-  // And the response carries no v4 server-timing echo for this peer.
-  EXPECT_EQ(result.message.response.server_queue_ns, 0u);
-  EXPECT_EQ(result.message.response.server_service_ns, 0u);
+  ASSERT_EQ(result.message.type, MessageType::Error);
+  EXPECT_EQ(result.message.error_fault, WireFault::BadVersion);
+  EXPECT_NE(result.message.error_message.find("version 3"), std::string::npos)
+      << result.message.error_message;
+  EXPECT_FALSE(reader.next(result)) << "nothing may follow the refusal";
+  const obs::MetricsSnapshot snap = solver_->metrics_registry().snapshot();
+  EXPECT_EQ(snap.counter_or("net_wire_fault_bad_version"), 1u);
+  EXPECT_EQ(snap.counter_or("net_protocol_errors"), 1u);
+  EXPECT_EQ(server_->counters().stats_requests, 0u);
 }
 
 TEST_F(NetServerTest, WireFaultCountersTickByKind) {

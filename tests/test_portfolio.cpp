@@ -7,6 +7,7 @@
 #include "core/solvers.hpp"
 #include "graph/generators.hpp"
 #include "service/portfolio.hpp"
+#include "service/tuner.hpp"
 #include "util/rng.hpp"
 
 namespace lptsp {
@@ -192,7 +193,7 @@ TEST_F(WinTableMerge, PoisonedHeuristicTableStillReprobesExactEngine) {
   // Regression: a restart that merges a heuristic-heavy persisted win
   // table used to disable the exact engine permanently — with zero exact
   // wins on record the skip rule never launched it again, so exact wins
-  // stayed zero forever. The re-probe policy must launch the exact engine
+  // stayed zero forever. The tuner's re-probe must launch the exact engine
   // every Nth otherwise-skipped race and let it recover the bucket.
   PortfolioOptions options;
   options.deadline = std::chrono::milliseconds{0};  // exact always finishes
@@ -200,6 +201,11 @@ TEST_F(WinTableMerge, PoisonedHeuristicTableStillReprobesExactEngine) {
   auto poisoned = empty_table();
   poisoned[index_of(12, 2)] = 1000;  // ChainedLK owns the bucket, exact never won
   portfolio.merge_win_table(poisoned);
+  // Restart wiring as in BatchSolver: the tuner is seeded from the same
+  // persisted table, so the bucket starts out trimmed.
+  EngineTuner tuner;
+  tuner.seed_from_win_table(poisoned, EnginePortfolio::kSlots);
+  portfolio.attach_tuner(&tuner);
 
   Rng rng(11);
   const Graph graph = random_with_diameter_at_most(12, 2, 0.3, rng);

@@ -210,7 +210,6 @@ TEST(PortfolioWork, AttemptsCarryWorkAndOutcomeMergesIt) {
   TaskPool pool(4);
   PortfolioOptions options;
   options.deadline = std::chrono::milliseconds{0};  // run everything out
-  options.learn = false;
   EnginePortfolio portfolio(pool, options);
   Rng rng(11);
   const Graph graph = random_with_diameter_at_most(12, 2, 0.3, rng);

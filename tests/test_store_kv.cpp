@@ -135,7 +135,13 @@ TEST(KvStore, CompactionCrashInRenameWindowLosesNothing) {
   fault::disarm_all();
   {
     auto store = must_open(options_for(path));
-    for (int i = 0; i < 40; ++i) store->put(0, "k" + std::to_string(i % 4), std::to_string(i));
+    for (int i = 0; i < 40; ++i) {
+      // += rather than "k" + rvalue: GCC 12 flags the latter with a
+      // -Wrestrict false positive (PR105651).
+      std::string key = "k";
+      key += std::to_string(i % 4);
+      store->put(0, key, std::to_string(i));
+    }
 
     fault::arm(FaultSite::StoreCompactRename, 1.0, 7, /*max_fires=*/1);
     EXPECT_FALSE(store->compact());

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -152,6 +154,40 @@ TEST(ThreadPool, ParallelBlocksCoversRangeOnce) {
   std::vector<std::atomic<int>> hits(1000);
   pool.parallel_blocks(hits.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  });
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirOwnRangeOnce) {
+  // Four threads share one pool, each looping over a range of a different
+  // length. A region must never run another caller's body on its indices.
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 200;
+  std::vector<std::vector<std::atomic<int>>> hits;
+  for (int caller = 0; caller < kCallers; ++caller) hits.emplace_back(500 + 337 * caller);
+  std::vector<std::thread> callers;
+  for (int caller = 0; caller < kCallers; ++caller) {
+    callers.emplace_back([&pool, &hits, caller] {
+      std::vector<std::atomic<int>>& mine = hits[static_cast<std::size_t>(caller)];
+      for (int round = 0; round < kRounds; ++round) {
+        pool.parallel_for(mine.size(), [&mine](std::size_t i) { mine[i].fetch_add(1); });
+      }
+    });
+  }
+  for (std::thread& thread : callers) thread.join();
+  for (int caller = 0; caller < kCallers; ++caller) {
+    for (const auto& hit : hits[static_cast<std::size_t>(caller)]) {
+      ASSERT_EQ(hit.load(), kRounds) << "caller " << caller;
+    }
+  }
+}
+
+TEST(ThreadPool, NestedRegionRunsInline) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(16 * 32);
+  pool.parallel_for(16, [&](std::size_t outer) {
+    pool.parallel_for(32, [&](std::size_t inner) { hits[outer * 32 + inner].fetch_add(1); });
   });
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }

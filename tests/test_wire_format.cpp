@@ -31,8 +31,8 @@ SolveRequest random_request(Rng& rng, std::uint64_t id) {
     request.engine =
         static_cast<Engine>(rng.uniform_int(0, static_cast<int>(Engine::BranchBound)));
   }
-  // v4 fields: trace context on roughly half the requests (0 = absent on
-  // the wire, so both encodings stay covered).
+  // Trace context on roughly half the requests (0 = absent on the wire,
+  // so both encodings stay covered).
   if (rng.bernoulli(0.5)) {
     request.trace_id = rng.next() | 1;  // nonzero
     request.trace_sampled = rng.bernoulli(0.5);
@@ -62,12 +62,12 @@ SolveResponse random_response(Rng& rng, std::uint64_t id) {
   for (int i = 0; i < labels; ++i) {
     response.labeling.labels.push_back(rng.uniform_int(0, 1000000));
   }
-  // v3 field: present on roughly half the responses (0 = absent on the
+  // Retry-after hint on roughly half the responses (0 = absent on the
   // wire, so both encodings stay covered).
   if (rng.bernoulli(0.5)) {
     response.retry_after_ms = static_cast<std::uint32_t>(rng.uniform_int(1, 60000));
   }
-  // v4 fields: the server-timing echo, also ~50/50.
+  // The server-timing echo, also ~50/50.
   if (rng.bernoulli(0.5)) {
     response.server_queue_ns = rng.next() >> 8;
     response.server_service_ns = (rng.next() >> 8) | 1;  // at least one nonzero
@@ -95,7 +95,8 @@ TEST(WireFormat, HandshakeAndShutdownRoundTrip) {
     const DecodeResult result = decode_one(bytes);
     ASSERT_TRUE(result.ok()) << result.detail;
     EXPECT_EQ(result.message.type, ack ? MessageType::HelloAck : MessageType::Hello);
-    EXPECT_EQ(result.message.version, kWireVersion);
+    // len(4) type(1) magic(4), then the u16 version.
+    EXPECT_EQ(bytes[9] | (bytes[10] << 8), kWireVersion);
   }
   std::vector<std::uint8_t> bytes;
   encode_shutdown(bytes);
@@ -151,78 +152,94 @@ TEST(WireFormat, RandomResponsesRoundTripExactly) {
   }
 }
 
-/// A v1/v2 connection must never see the v3 retry-after flag bit: encoding
-/// for an older negotiated version drops the hint (and an old decoder
-/// would have rejected the unknown bit as malformed).
-TEST(WireFormat, RetryAfterHintSuppressedForOlderPeers) {
+/// Golden bytes: every optional field of the one wire version, pinned
+/// byte for byte so no refactor of the encoders can change a frame.
+TEST(WireFormat, FramesAreByteExact) {
+  const auto expect_bytes = [](const std::vector<std::uint8_t>& got,
+                               const std::vector<std::uint8_t>& want, const char* frame) {
+    EXPECT_EQ(got, want) << frame;
+  };
+  std::vector<std::uint8_t> hello;
+  encode_hello(hello);
+  expect_bytes(hello, {0x07, 0x00, 0x00, 0x00, 0x01, 0x4c, 0x50, 0x54, 0x53, 0x04, 0x00}, "hello");
+
+  SolveRequest request;
+  request.graph = path_graph(3);
+  request.p = PVec::L21();
+  request.id = 0x0102030405060708ULL;
+  request.deadline = std::chrono::milliseconds{250};
+  request.priority = -2;
+  request.engine = Engine::HeldKarp;
+  // len, type, id, deadline, priority, flags, engine, k, p-vector, graph.
+  const std::vector<std::uint8_t> request_body = {
+      0x03, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0xfa, 0x00, 0x00, 0x00,
+      0xfe, 0xff, 0xff, 0xff, 0x01, 0x01, 0x02, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00,
+      0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  std::vector<std::uint8_t> untraced;
+  encode_request(untraced, request);
+  std::vector<std::uint8_t> want = {0x34, 0x00, 0x00, 0x00};
+  want.insert(want.end(), request_body.begin(), request_body.end());
+  expect_bytes(untraced, want, "untraced request");
+
+  request.trace_id = 0xfeedfacecafef00dULL;
+  request.trace_sampled = true;
+  std::vector<std::uint8_t> traced;
+  encode_request(traced, request);
+  want = {0x3c, 0x00, 0x00, 0x00};
+  want.insert(want.end(), request_body.begin(), request_body.end());
+  want[4 + 17] = 0x07;  // flags: pinned | trace context | sampled
+  want.insert(want.end(), {0x0d, 0xf0, 0xfe, 0xca, 0xce, 0xfa, 0xed, 0xfe});
+  expect_bytes(traced, want, "traced request");
+  const DecodeResult traced_decoded = decode_one(traced);
+  ASSERT_TRUE(traced_decoded.ok()) << traced_decoded.detail;
+  EXPECT_EQ(traced_decoded.message.request.trace_id, request.trace_id);
+  EXPECT_TRUE(traced_decoded.message.request.trace_sampled);
+  EXPECT_EQ(traced_decoded.message.request.graph, request.graph);
+
+  // The out-of-band overload stamps the same layout as a stamped request.
+  request.trace_id = 0;
+  request.trace_sampled = false;
+  std::vector<std::uint8_t> overridden;
+  encode_request_traced(overridden, request, 0xfeedfacecafef00dULL, true);
+  EXPECT_EQ(overridden, traced);
+
   SolveResponse response;
   response.id = 9;
   response.status = SolveStatus::RejectedOverload;
+  response.source = ResponseSource::Solved;
+  response.engine = Engine::ChainedLK;
+  response.optimal = true;
+  response.reduction_cached = true;
+  response.span = 4;
+  response.seconds = 0.5;
+  response.message = "busy";
+  response.labeling.labels = {0, 4, 2};
   response.retry_after_ms = 250;
-  for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
-    std::vector<std::uint8_t> bytes;
-    encode_response(bytes, response, version);
-    const DecodeResult result = decode_one(bytes);
-    ASSERT_TRUE(result.ok()) << result.detail;
-    EXPECT_EQ(result.message.response.retry_after_ms, 0u);
-  }
-  std::vector<std::uint8_t> bytes;
-  encode_response(bytes, response, kWireVersion);
-  const DecodeResult result = decode_one(bytes);
-  ASSERT_TRUE(result.ok()) << result.detail;
-  EXPECT_EQ(result.message.response.retry_after_ms, 250u);
-}
-
-/// A v1-v3 connection must never see the v4 trace-context flag bits: a
-/// pre-v4 decoder treated the flags byte as a strict 0/1 pin flag and
-/// would reject the frame, so the encoder drops the context for them.
-TEST(WireFormat, TraceContextSuppressedForOlderPeers) {
-  SolveRequest request;
-  request.graph = path_graph(4);
-  request.p = PVec::L21();
-  request.id = 12;
-  request.trace_id = 0xfeedfacecafef00dULL;
-  request.trace_sampled = true;
-  for (const std::uint16_t version :
-       {std::uint16_t{1}, std::uint16_t{2}, std::uint16_t{3}}) {
-    std::vector<std::uint8_t> bytes;
-    encode_request(bytes, request, version);
-    const DecodeResult result = decode_one(bytes);
-    ASSERT_TRUE(result.ok()) << result.detail << " (version " << version << ")";
-    EXPECT_EQ(result.message.request.trace_id, 0u);
-    EXPECT_FALSE(result.message.request.trace_sampled);
-    EXPECT_EQ(result.message.request.graph, request.graph);  // payload intact
-  }
-  std::vector<std::uint8_t> bytes;
-  encode_request(bytes, request, kWireVersion);
-  const DecodeResult result = decode_one(bytes);
-  ASSERT_TRUE(result.ok()) << result.detail;
-  EXPECT_EQ(result.message.request.trace_id, request.trace_id);
-  EXPECT_TRUE(result.message.request.trace_sampled);
-}
-
-/// Same rule for the v4 server-timing echo on Responses.
-TEST(WireFormat, ServerTimingSuppressedForOlderPeers) {
-  SolveResponse response;
-  response.id = 21;
-  response.status = SolveStatus::Ok;
   response.server_queue_ns = 1200;
   response.server_service_ns = 84000;
-  for (const std::uint16_t version :
-       {std::uint16_t{1}, std::uint16_t{2}, std::uint16_t{3}}) {
-    std::vector<std::uint8_t> bytes;
-    encode_response(bytes, response, version);
-    const DecodeResult result = decode_one(bytes);
-    ASSERT_TRUE(result.ok()) << result.detail << " (version " << version << ")";
-    EXPECT_EQ(result.message.response.server_queue_ns, 0u);
-    EXPECT_EQ(result.message.response.server_service_ns, 0u);
-  }
-  std::vector<std::uint8_t> bytes;
-  encode_response(bytes, response, kWireVersion);
-  const DecodeResult result = decode_one(bytes);
-  ASSERT_TRUE(result.ok()) << result.detail;
-  EXPECT_EQ(result.message.response.server_queue_ns, 1200u);
-  EXPECT_EQ(result.message.response.server_service_ns, 84000u);
+  std::vector<std::uint8_t> response_bytes;
+  encode_response(response_bytes, response);
+  expect_bytes(response_bytes,
+               {0x55, 0x00, 0x00, 0x00, 0x04, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x06, 0x00, 0x08, 0x0f, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x04, 0x00, 0x00, 0x00, 0x62, 0x75,
+                0x73, 0x79, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x00, 0xfa, 0x00, 0x00, 0x00, 0xb0, 0x04, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x20, 0x48, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00},
+               "response with retry-after and server timing");
+  const DecodeResult response_decoded = decode_one(response_bytes);
+  ASSERT_TRUE(response_decoded.ok()) << response_decoded.detail;
+  EXPECT_EQ(response_decoded.message.response.retry_after_ms, 250u);
+  EXPECT_EQ(response_decoded.message.response.server_queue_ns, 1200u);
+  EXPECT_EQ(response_decoded.message.response.server_service_ns, 84000u);
+
+  std::vector<std::uint8_t> stats;
+  encode_stats_request(stats, StatsFormat::Journal, 0xfeedfacecafe1234ULL);
+  expect_bytes(stats, {0x0a, 0x00, 0x00, 0x00, 0x07, 0x05, 0x34, 0x12, 0xfe, 0xca, 0xce, 0xfa, 0xed,
+                       0xfe},
+               "stats request with since");
 }
 
 TEST(WireFormat, RequestFlagByteValidation) {
@@ -454,23 +471,19 @@ TEST(WireFormat, EveryMessageTypeAndFaultHasAName) {
   static_assert(wire_fault_name(WireFault::Oversized)[0] == 'o');
 }
 
-// ------------------------------------------------- v2 stats frames + compat
+// ---------------------------------------------------- version + stats frames
 
-TEST(WireFormat, VersionNegotiationAcceptsTheSupportedRange) {
-  // A v1 Hello (pre-stats client) must still decode: the server keeps
-  // serving old clients and simply refuses stats frames on them.
-  for (std::uint16_t version = kWireMinVersion; version <= kWireVersion; ++version) {
-    std::vector<std::uint8_t> bytes;
-    encode_hello(bytes, version);
-    const DecodeResult result = decode_one(bytes);
-    ASSERT_TRUE(result.ok()) << result.detail;
-    EXPECT_EQ(result.message.version, version);
-  }
-  // Below the floor and above the ceiling are typed faults.
-  for (const std::uint16_t version :
-       {std::uint16_t{0}, static_cast<std::uint16_t>(kWireVersion + 1)}) {
-    std::vector<std::uint8_t> bytes;
-    encode_hello(bytes, version);
+TEST(WireFormat, HandshakeAcceptsOnlyTheWireVersion) {
+  std::vector<std::uint8_t> hello;
+  encode_hello(hello);
+  ASSERT_TRUE(decode_one(hello).ok());
+  // Every other version, older ones included, is a typed fault.
+  for (const std::uint16_t version : {std::uint16_t{0}, std::uint16_t{1}, std::uint16_t{2},
+                                      std::uint16_t{3},
+                                      static_cast<std::uint16_t>(kWireVersion + 1)}) {
+    std::vector<std::uint8_t> bytes = hello;
+    bytes[9] = static_cast<std::uint8_t>(version & 0xff);
+    bytes[10] = static_cast<std::uint8_t>(version >> 8);
     EXPECT_EQ(decode_one(bytes).fault, WireFault::BadVersion) << "version " << version;
   }
 }
@@ -500,8 +513,8 @@ TEST(WireFormat, StatsFramesRoundTripEveryFormat) {
 }
 
 TEST(WireFormat, StatsRequestSinceCursorRoundTrips) {
-  // A nonzero cursor rides as a trailing u64; zero keeps the legacy
-  // one-byte request bit-identical so old servers stay compatible.
+  // A nonzero cursor rides as a trailing u64; zero keeps the plain
+  // one-byte request.
   std::vector<std::uint8_t> legacy;
   encode_stats_request(legacy, StatsFormat::Journal);
   std::vector<std::uint8_t> with_cursor;

@@ -13,26 +13,26 @@
 ///               [--watch[=SECONDS]] [--watch-count=N]
 ///               [--timeout-ms=5000]               (connect + scrape budget)
 ///
-/// Driven requests carry trace context (v4 servers adopt the client's
+/// Driven requests carry trace context (the server adopts the client's
 /// trace id, so the server's --traces ring and the client ring written by
 /// --client-traces hold one joined trace per request). --journal scrapes
-/// the structured event journal (v4+); --since=SEQ fetches only events
+/// the structured event journal; --since=SEQ fetches only events
 /// with seq > SEQ, so a poller can resume from its last cursor instead of
 /// re-reading the ring. --profile scrapes the work-attribution profile
 /// (per-engine work counters and rates, top-K hot canonical keys, deadline
 /// SLO summary, and the "tuner" block — per-bucket decayed win scores,
-/// trim state, effort percent, and predicted request cost) as JSON (v4+). --watch turns the tool into a live
-/// rate view: it scrapes the Prometheus exposition every SECONDS (default
-/// 2), diffs consecutive snapshots with SnapshotDelta, and redraws a
-/// top-style screen of per-second rates and interval percentiles;
-/// --watch-count=N exits 0 after N redraws (0 = until killed).
+/// trim state, effort percent, and predicted request cost) as JSON.
+/// --watch turns the tool into a live rate view: it scrapes the
+/// Prometheus exposition every SECONDS (default 2), diffs consecutive
+/// snapshots with SnapshotDelta, and redraws a top-style screen of
+/// per-second rates and interval percentiles; --watch-count=N exits 0
+/// after N redraws (0 = until killed).
 ///
 /// Exit codes: 0 scrape succeeded, 1 transport/protocol failure, 2 bad
-/// usage. The scrape requires a v2 server (v4 for --journal/--profile); older
-/// servers answer the stats frame with an Error, reported here as a
-/// refusal. A dead, absent, or wedged daemon produces a one-line
-/// diagnostic and exit 1 within --timeout-ms — never a hang (0 disables
-/// the timeout).
+/// usage. A server speaking another wire version refuses the handshake
+/// with a bad-version Error, reported here as a refusal. A dead, absent,
+/// or wedged daemon produces a one-line diagnostic and exit 1 within
+/// --timeout-ms — never a hang (0 disables the timeout).
 
 #include <chrono>
 #include <cstdint>
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
     ClientOptions client_options;
     client_options.connect_timeout = std::chrono::milliseconds{timeout_ms};
     client_options.request_timeout = std::chrono::milliseconds{timeout_ms};
-    // Driven requests carry trace context so a v4 server records the same
+    // Driven requests carry trace context so the server records the same
     // trace ids this client's ring holds — one joined trace per request.
     client_options.trace = drive > 0;
     client_options.trace_capacity = drive > 0 ? static_cast<std::size_t>(drive) : 64;
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
         if (client.solve_retry(request).ok()) ++ok;
       }
       std::fprintf(stderr, "lptsp_stats: drove %d requests (%d ok, wire v%u) against %s:%d\n",
-                   drive, ok, client.negotiated_version(), host.c_str(), port);
+                   drive, ok, static_cast<unsigned>(kWireVersion), host.c_str(), port);
       if (!client_traces.empty() &&
           !write_text_file(client_traces, client.traces().dump_json())) {
         std::fprintf(stderr, "lptsp_stats: cannot write --client-traces %s\n",

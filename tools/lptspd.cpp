@@ -29,7 +29,7 @@
 /// every N seconds (0 = quiet). SIGINT/SIGTERM shut down cleanly.
 ///
 /// Observability: every metric is scrapeable live over the wire
-/// (lptsp_stats, or any v2 client sending a StatsRequest frame).
+/// (lptsp_stats, or any client sending a StatsRequest frame).
 /// --stats-json=PATH additionally writes the full JSON snapshot to PATH
 /// atomically (temp file + rename) on every stats tick and at shutdown,
 /// for file-based collectors. --trace-keep bounds the in-memory ring of
@@ -73,10 +73,11 @@
 /// --learn-reprobe-th skipped race (so a heuristic-heavy persisted win
 /// table can bias but never freeze it), decays scores every
 /// --learn-decay-every races, and re-tunes per-bucket engine effort every
-/// --learn-effort-every deadline-bounded races. --no-learn reverts to the
-/// static portfolio rules. --admission-work-budget=MS admits requests
-/// against predicted pending engine work (rejecting when the backlog's
-/// predicted cost exceeds MS milliseconds) instead of only counting them;
+/// --learn-effort-every deadline-bounded races. --no-learn detaches the
+/// tuner: every race launches the exact engine at fixed effort.
+/// --admission-work-budget=MS admits requests against predicted pending
+/// engine work (rejecting when the backlog's predicted cost exceeds MS
+/// milliseconds) instead of only counting them;
 /// the retry-after hint stretches with the predicted drain time either
 /// way. See README "Learning loop".
 
@@ -145,7 +146,6 @@ int main(int argc, char** argv) {
   solver_options.trace_capacity = static_cast<std::size_t>(args.get_int("trace-keep", 64));
   solver_options.trace_threshold = std::chrono::milliseconds{args.get_int("trace-slow-ms", 0)};
   solver_options.tuner.enabled = !args.has("no-learn");
-  solver_options.portfolio.learn = solver_options.tuner.enabled;
   solver_options.tuner.reprobe_every =
       static_cast<std::uint32_t>(args.get_int("learn-reprobe", 16));
   solver_options.tuner.decay_every =
@@ -251,7 +251,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(solver_options.max_pending_work_ns / 1'000'000),
                 solver_options.max_pending_work_ns == 0 ? " (gauge only, count gate active)" : "");
   } else {
-    std::printf("lptspd: learning off (--no-learn): static skip rule, fixed effort, "
+    std::printf("lptspd: learning off (--no-learn): exact engine always raced, fixed effort, "
                 "count-based admission\n");
   }
   std::fflush(stdout);

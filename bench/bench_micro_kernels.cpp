@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -263,11 +264,15 @@ void BM_BlossomMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_BlossomMatching)->Arg(64)->Arg(128);
 
-/// Per-tier variants of the dispatched kernels, registered at runtime for
-/// exactly the tiers this machine supports (google-benchmark lane of the
-/// same ablation; the JSON lane above is what CI consumes).
-void BM_CandidateListsBuild(benchmark::State& state, IsaTier tier) {
-  const Graph graph = lptsp::bench::workload_graph(512, 2, 11, 0.2);
+// Per-tier variants of the dispatched kernels, registered at runtime for
+// exactly the tiers this machine supports (google-benchmark lane of the
+// same ablation; the JSON lane above is what CI consumes).
+
+/// Candidate-list construction at n = 512, and at n = 60 with edge
+/// probability 0.15: the diameter-2 shape of the cold races the service
+/// runs, where most rows take the cheapest-tier scan.
+void BM_CandidateListsBuild(benchmark::State& state, IsaTier tier, int n, double edge_prob) {
+  const Graph graph = lptsp::bench::workload_graph(n, 2, 11, edge_prob);
   const auto reduced = reduce_to_path_tsp(graph, PVec::L21());
   const IsaTier restore = kernels::active_isa_tier();
   kernels::set_isa_tier(tier);
@@ -304,9 +309,11 @@ int main(int argc, char** argv) {
   }
   const int ablation_rc = want_ablation ? run_isa_ablation() : 0;
   for (const IsaTier tier : supported_tiers()) {
-    benchmark::RegisterBenchmark(
-        (std::string("BM_CandidateListsBuild/") + isa_tier_name(tier)).c_str(),
-        BM_CandidateListsBuild, tier);
+    std::string lists_lane = "BM_CandidateListsBuild/";
+    lists_lane += isa_tier_name(tier);
+    benchmark::RegisterBenchmark(lists_lane.c_str(), BM_CandidateListsBuild, tier, 512, 0.2);
+    lists_lane += "/n60";
+    benchmark::RegisterBenchmark(lists_lane.c_str(), BM_CandidateListsBuild, tier, 60, 0.15);
     benchmark::RegisterBenchmark((std::string("BM_HeldKarpTier/") + isa_tier_name(tier)).c_str(),
                                  BM_HeldKarpTier, tier);
   }

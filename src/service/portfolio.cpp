@@ -295,6 +295,13 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
     races_failed_.add();
   }
   outcome.seconds = timer.seconds();
+  if (best >= 0 && runs.size() >= 2) {
+    // What the race added over its winner: dispatch, cancel latency and
+    // the join of the losing engine.
+    const double winner_seconds = runs[static_cast<std::size_t>(best)].attempt.seconds;
+    race_overhead_.record(
+        static_cast<std::uint64_t>(std::max(0.0, outcome.seconds - winner_seconds) * 1e9));
+  }
   if (tuner_ != nullptr) {
     // Feed the race back: contested mirrors the win table's rule, so the
     // tuner's decayed scores and the persisted counts learn from the same
@@ -324,6 +331,7 @@ void EnginePortfolio::register_metrics(obs::MetricRegistry& registry, const void
     registry.register_histogram(std::string("engine_ns_") + kSlotNames[i], &slot_latency_[i],
                                 owner);
   }
+  registry.register_histogram("race_overhead_ns", &race_overhead_, owner);
   work_.register_into(registry, owner);
 }
 

@@ -121,10 +121,10 @@ class EnginePortfolio {
     return heuristic_only_.load(std::memory_order_relaxed);
   }
 
-  /// Publish race totals, per-engine win/cancel counters and per-engine
-  /// latency histograms into `registry`, tagged with `owner` (defaults to
-  /// this portfolio). The portfolio must outlive the registry's snapshots
-  /// or deregister(owner) first.
+  /// Publish race totals, per-engine win/cancel counters, per-engine
+  /// latency histograms and the race-overhead histogram into `registry`,
+  /// tagged with `owner` (defaults to this portfolio). The portfolio must
+  /// outlive the registry's snapshots or deregister(owner) first.
   void register_metrics(obs::MetricRegistry& registry, const void* owner = nullptr) const;
 
   /// Lifetime engine-work totals across every race (engine_work_* in the
@@ -150,6 +150,8 @@ class EnginePortfolio {
   std::array<obs::Counter, kSlots> slot_wins_;
   std::array<obs::Counter, kSlots> slot_cancelled_;
   std::array<obs::LatencyHistogram, kSlots> slot_latency_;
+  /// Race wall time minus the winning attempt's, per race of two engines.
+  obs::LatencyHistogram race_overhead_;
   obs::WorkCounters work_;
 };
 

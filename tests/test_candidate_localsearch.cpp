@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/reduction.hpp"
 #include "graph/generators.hpp"
@@ -54,6 +56,116 @@ TEST(CandidateLists, SortedDistinctAndComplete) {
   const CandidateLists wide(instance, 100);
   EXPECT_EQ(wide.k(), 19);
   EXPECT_TRUE(wide.complete());
+}
+
+/// Test-local reference for CandidateLists: every partner stable-sorted by
+/// weight (so ties stay in id order), then the same tie-aware length rule.
+/// Returns the per-vertex lists; `complete` reports whether every vertex
+/// lists all n-1 others.
+std::vector<std::vector<int>> reference_lists(const MetricInstance& instance, int k,
+                                              bool tie_aware, bool& complete) {
+  const int n = instance.n();
+  const int base = std::max(0, std::min(k, n - 1));
+  std::vector<std::vector<int>> lists(static_cast<std::size_t>(n));
+  complete = true;
+  for (int v = 0; v < n; ++v) {
+    std::vector<int> partners;
+    for (int u = 0; u < n; ++u) {
+      if (u != v) partners.push_back(u);
+    }
+    std::stable_sort(partners.begin(), partners.end(), [&](int a, int b) {
+      return instance.weight(v, a) < instance.weight(v, b);
+    });
+    int limit = base;
+    if (tie_aware && limit < n - 1) {
+      const Weight cheapest = instance.weight(v, partners.front());
+      const auto tier = static_cast<int>(std::count_if(
+          partners.begin(), partners.end(), [&](int u) { return instance.weight(v, u) == cheapest; }));
+      limit = std::min(std::max(base, std::min(tier, CandidateLists::kTieCap)), n - 1);
+    }
+    partners.resize(static_cast<std::size_t>(limit));
+    if (limit < n - 1) complete = false;
+    lists[static_cast<std::size_t>(v)] = std::move(partners);
+  }
+  return lists;
+}
+
+/// Row shapes the differential test must reach, so a change to the inputs
+/// cannot quietly stop exercising a branch of the construction.
+struct RowShapes {
+  int tier_above_cap = 0;    ///< cheapest tier holds more than kTieCap partners
+  int limit_above_tier = 0;  ///< the list runs past the cheapest tier
+};
+
+void expect_matches_reference(const MetricInstance& instance, int k, bool tie_aware,
+                              RowShapes& shapes) {
+  const int n = instance.n();
+  bool complete = false;
+  const std::vector<std::vector<int>> want = reference_lists(instance, k, tie_aware, complete);
+  const CandidateLists lists(instance, k, tie_aware);
+  SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+               " tie_aware=" + std::to_string(tie_aware));
+  ASSERT_EQ(lists.n(), n);
+  EXPECT_EQ(lists.k(), std::max(0, std::min(k, n - 1)));
+  EXPECT_EQ(lists.complete(), complete);
+  for (int v = 0; v < n; ++v) {
+    const std::vector<int>& row = want[static_cast<std::size_t>(v)];
+    ASSERT_EQ(lists.count(v), static_cast<int>(row.size())) << "vertex " << v;
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), lists.of(v))) << "vertex " << v;
+
+    Weight cheapest = 0;
+    int tier = 0;
+    for (int u = 0; u < n; ++u) {
+      if (u == v) continue;
+      const Weight w = instance.weight(v, u);
+      if (tier == 0 || w < cheapest) {
+        cheapest = w;
+        tier = 1;
+      } else if (w == cheapest) {
+        ++tier;
+      }
+    }
+    if (tier > CandidateLists::kTieCap) ++shapes.tier_above_cap;
+    if (static_cast<int>(row.size()) > tier) ++shapes.limit_above_tier;
+  }
+}
+
+TEST(CandidateLists, MatchesSortedReference) {
+  Rng rng(2024);
+  RowShapes shapes;
+  const int ks[] = {1, 3, 10, 48, 100};
+  const int sizes[] = {3, 4, 5, 7, 11, 16, 24, 33, 47, 60, 75, 96, 120};
+  // Reduced labeling instances: diameter-2 graphs under L(2,1) give the
+  // two-valued metrics the service races, diameter-3 graphs under
+  // (4,3,2) three-valued ones; the densities move the cheapest tier from
+  // most partners to a handful.
+  for (const int n : sizes) {
+    for (const double density : {0.05, 0.15, 0.4, 0.8}) {
+      const Graph d2 = random_with_diameter_at_most(n, 2, density, rng);
+      const Graph d3 = random_with_diameter_at_most(n, 3, density, rng);
+      const MetricInstance two = reduce_to_path_tsp(d2, PVec::L21()).instance;
+      const MetricInstance three = reduce_to_path_tsp(d3, PVec({4, 3, 2})).instance;
+      for (const int k : ks) {
+        for (const bool tie_aware : {true, false}) {
+          expect_matches_reference(two, k, tie_aware, shapes);
+          expect_matches_reference(three, k, tie_aware, shapes);
+        }
+      }
+    }
+  }
+  // Random metrics with one to five distinct weight values.
+  for (const int n : sizes) {
+    for (int values = 1; values <= 5; ++values) {
+      const MetricInstance instance = random_instance(n, rng, 1, values);
+      for (const int k : ks) {
+        for (const bool tie_aware : {true, false}) {
+          expect_matches_reference(instance, k, tie_aware, shapes);
+        }
+      }
+    }
+  }
+  EXPECT_GT(shapes.tier_above_cap, 0);
+  EXPECT_GT(shapes.limit_above_tier, 0);
 }
 
 class CandidateSearchProperty : public ::testing::TestWithParam<int> {

@@ -102,6 +102,40 @@ TEST(Portfolio, PreferredEngineFallsBackToSizeHeuristic) {
   EXPECT_EQ(portfolio.preferred_engine(200), Engine::ChainedLK);
 }
 
+TEST(Portfolio, RaceOverheadHasOneSampleNoLargerThanEachContestedRace) {
+  TaskPool pool(4);
+  PortfolioOptions options;
+  options.deadline = std::chrono::milliseconds{0};  // both engines finish and verify
+  EnginePortfolio portfolio(pool, options);
+  obs::MetricRegistry registry;
+  portfolio.register_metrics(registry);
+  const auto overhead = [&registry] {
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    const obs::HistogramSnapshot* hist = snap.histogram("race_overhead_ns");
+    EXPECT_NE(hist, nullptr);
+    return hist != nullptr ? *hist : obs::HistogramSnapshot{};
+  };
+
+  Rng rng(41);
+  for (int race = 1; race <= 4; ++race) {
+    const Graph graph = random_with_diameter_at_most(12, 2, 0.3, rng);
+    const MetricInstance instance = reduced_instance(graph, PVec::L21());
+    const std::uint64_t sum_before = overhead().sum;
+    const PortfolioOutcome outcome = portfolio.race(instance);
+    ASSERT_EQ(outcome.attempts.size(), 2u);
+    const obs::HistogramSnapshot after = overhead();
+    EXPECT_EQ(after.count, static_cast<std::uint64_t>(race));
+    EXPECT_LE(after.sum - sum_before, static_cast<std::uint64_t>(outcome.seconds * 1e9));
+  }
+
+  // A race with one engine has no rival to wait for, so it adds no sample.
+  portfolio.force_heuristic_only(true);
+  const Graph graph = random_with_diameter_at_most(12, 2, 0.3, rng);
+  const PortfolioOutcome alone = portfolio.race(reduced_instance(graph, PVec::L21()));
+  ASSERT_EQ(alone.attempts.size(), 1u);
+  EXPECT_EQ(overhead().count, 4u);
+}
+
 /// merge_win_table was only exercised indirectly (through the durable
 /// service restart test); these pin its contract directly. Counter layout:
 /// bucket-major flat vector of kBuckets * kSlots, bucket = bit_width(n),

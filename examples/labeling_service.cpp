@@ -80,7 +80,8 @@ int main() {
               static_cast<unsigned long long>(stats.reduction_misses));
   std::printf("engine solves: %llu for %zu requests\n",
               static_cast<unsigned long long>(solver.engine_solves()), requests.size() + 1);
-  std::printf("learned preference for n=%d: %s\n", network.n(),
-              engine_name(solver.portfolio().preferred_engine(network.n())).c_str());
+  // Per size bucket: the decayed exact/heuristic win scores, whether the
+  // exact engine is trimmed, and the learned effort.
+  std::printf("learned race policy: %s\n", solver.tuner().to_json().c_str());
   return 0;
 }

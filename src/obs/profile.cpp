@@ -1,7 +1,6 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "obs/journal.hpp"
 
@@ -150,7 +149,7 @@ void KeyProfileTable::record(std::uint64_t key_hash, int n, std::uint64_t engine
     }
     slot->key_hash = key_hash;
     slot->n = n;
-    slot->size_bucket = static_cast<int>(std::bit_width(static_cast<unsigned>(n)));
+    slot->size_bucket = size_bucket(n);
   }
 
   slot->solves += 1;

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -40,6 +42,17 @@ namespace lptsp::obs {
 /// integer is undefined behavior, and rates computed over a tiny uptime
 /// right after start can be exactly that).
 [[nodiscard]] std::string format_fixed2(double value);
+
+/// Number of instance-size buckets the service learns and profiles over.
+constexpr int kSizeBuckets = 32;
+
+/// The one size bucketing rule shared by the portfolio, the tuner and the
+/// key profile: bit_width(n), so bucket b holds n in [2^(b-1), 2^b), with
+/// n <= 0 in bucket 0 and everything past the last bucket clamped into it.
+constexpr int size_bucket(int n) noexcept {
+  return std::min(static_cast<int>(std::bit_width(static_cast<unsigned>(std::max(n, 0)))),
+                  kSizeBuckets - 1);
+}
 
 /// Work one engine run performed, in engine-native units. Plain data so
 /// the tsp/ engines can report counts without depending on this header:
@@ -121,7 +134,7 @@ class KeyProfileTable {
   struct Entry {
     std::uint64_t key_hash = 0;       ///< CanonicalForm::hash
     int n = 0;                        ///< vertex count of the canonical graph
-    int size_bucket = 0;              ///< bit_width(n), the portfolio's bucketing
+    int size_bucket = 0;              ///< obs::size_bucket(n)
     std::uint64_t solves = 0;         ///< engine races attributed to this key
     std::uint64_t engine_ns = 0;      ///< total race wall time attributed
     std::uint64_t last_engine_ns = 0; ///< most recent single race wall time
@@ -157,7 +170,7 @@ class KeyProfileTable {
   [[nodiscard]] std::vector<Entry> top(std::size_t k) const;
 
   /// Mean attributed race cost per solve across the tracked keys in
-  /// `size_bucket` (bit_width(n)), 0 when no tracked key has that bucket.
+  /// `size_bucket` (obs::size_bucket(n)), 0 when no tracked key has that bucket.
   /// This is the admission predictor's hot-key signal: under Zipf-repeat
   /// traffic the tracked keys ARE the traffic, so their mean is a better
   /// per-request cost estimate than a global average.

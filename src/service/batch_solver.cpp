@@ -63,23 +63,15 @@ BatchSolver::BatchSolver(const Options& options)
     LPTSP_REQUIRE(backend_ != nullptr, "cannot open durable store: " + error);
     // With the cache disabled, results are neither written through nor
     // served, so skip attaching and the per-record re-verification of a
-    // warm load — the store still carries the win table (engine-choice
+    // warm load — the store still carries the tuner state (engine-choice
     // learning is independent of result caching).
     if (options_.use_cache) {
       cache_.attach_backend(backend_);
       warm_stats_ = cache_.warm_from_disk();
     }
-    if (const auto table = backend_->load_win_table()) {
-      if (table->buckets == EnginePortfolio::kBuckets && table->slots == EnginePortfolio::kSlots) {
-        portfolio_.merge_win_table(table->counts);
-        // Seed the tuner's decayed scores from the same history (capped):
-        // the pre-trim resumes where the last process left off, but —
-        // unlike the raw cumulative counts — the seed decays away, so a
-        // heuristic-heavy table biases the first decisions without ever
-        // freezing the exact engine out (the re-probe regression).
-        tuner_.seed_from_win_table(table->counts, EnginePortfolio::kSlots);
-      }
-    }
+    // Pre-trim and effort resume where the last process left off; restore()
+    // caps the scores, so a heuristic-heavy record decays away.
+    if (const auto state = backend_->load_tuner_state()) tuner_.restore(*state);
   }
   register_metrics();
 }
@@ -122,22 +114,20 @@ void BatchSolver::register_metrics() {
 
 BatchSolver::~BatchSolver() {
   // Drain in-flight requests BEFORE checkpointing: a race finishing during
-  // shutdown still records its win, and with the pool quiesced the
-  // checkpoint captures every count. (Member destruction then re-drains a
-  // by-now-empty pool — request_pool_ is declared last for that reason.)
+  // shutdown still reports to the tuner, and with the pool quiesced the
+  // checkpoint captures every observation. (Member destruction then
+  // re-drains a by-now-empty pool — request_pool_ is declared last for
+  // that reason.)
   if (backend_ != nullptr) {
     request_pool_.drain();
-    checkpoint_win_table();
+    checkpoint_tuner();
   }
 }
 
-void BatchSolver::checkpoint_win_table() {
-  if (backend_ == nullptr) return;
-  WinTableRecord record;
-  record.buckets = EnginePortfolio::kBuckets;
-  record.slots = EnginePortfolio::kSlots;
-  record.counts = portfolio_.win_table();
-  backend_->put_win_table(record);
+void BatchSolver::checkpoint_tuner() {
+  // A disabled tuner holds defaults, not what an earlier run learned.
+  if (backend_ == nullptr || !tuner_.enabled()) return;
+  backend_->put_tuner_state(tuner_.snapshot());
 }
 
 BatchSolver::CanonicalOutcome BatchSolver::solve_canonical(

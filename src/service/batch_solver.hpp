@@ -77,11 +77,11 @@ class BatchSolver {
     /// Durable store file (see src/store/): when non-empty, verified solve
     /// results are written through to this append-only log, reloaded and
     /// re-verified on the next start (a restart keeps its hit ratio), and
-    /// the portfolio win table is checkpointed across runs. Created if
+    /// the tuner's learned state is checkpointed across runs. Created if
     /// absent; opening an existing file with a corrupt header throws
     /// precondition_error (torn tails and bad records are repaired/skipped
     /// silently — they are expected crash debris). With use_cache false
-    /// only the win table is persisted (results would never be served).
+    /// only the tuner state is persisted (results would never be served).
     std::string store_path;
     /// fsync the store after every persisted result. Off by default:
     /// results are re-derivable, so the OS page-cache durability window is
@@ -118,7 +118,7 @@ class BatchSolver {
   BatchSolver() : BatchSolver(Options{}) {}
   explicit BatchSolver(const Options& options);
 
-  /// Checkpoints the portfolio win table to the durable store (when one is
+  /// Checkpoints the tuner state to the durable store (when one is
   /// configured) before tearing the pipeline down.
   ~BatchSolver();
 
@@ -214,9 +214,11 @@ class BatchSolver {
     return backend_;
   }
 
-  /// Persist the portfolio win table now (also done on destruction). Safe
-  /// to call while traffic is in flight; no-op without a store.
-  void checkpoint_win_table();
+  /// Persist the tuner's learned state now (also done on destruction).
+  /// Safe to call while traffic is in flight; no-op without a store or
+  /// while the tuner is disabled, so a --no-learn run never overwrites
+  /// what an earlier run learned.
+  void checkpoint_tuner();
 
  private:
   /// Result of solving one canonical instance, shareable across all

@@ -1,7 +1,6 @@
 #include "service/portfolio.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <future>
 #include <utility>
@@ -17,11 +16,6 @@
 
 namespace lptsp {
 
-// The tuner keeps its own per-bucket state; the two tables must agree on
-// what a bucket is.
-static_assert(EngineTuner::kBuckets == EnginePortfolio::kBuckets,
-              "tuner and portfolio must agree on the size bucketing");
-
 namespace {
 
 struct Run {
@@ -34,53 +28,12 @@ struct Run {
 EnginePortfolio::EnginePortfolio(TaskPool& pool, const PortfolioOptions& options)
     : pool_(pool), options_(options) {}
 
-int EnginePortfolio::bucket_of(int n) noexcept {
-  const int width = std::bit_width(static_cast<unsigned>(std::max(1, n)));
-  return std::min(width, kBuckets - 1);
-}
-
 int EnginePortfolio::slot_of(Engine engine) noexcept {
   switch (engine) {
     case Engine::HeldKarp: return 0;
     case Engine::BranchBound: return 1;
     default: return 2;  // every heuristic maps to the ChainedLK slot
   }
-}
-
-std::uint64_t EnginePortfolio::wins(int n, Engine engine) const {
-  return wins_[static_cast<std::size_t>(bucket_of(n))][static_cast<std::size_t>(slot_of(engine))]
-      .load(std::memory_order_relaxed);
-}
-
-std::vector<std::uint64_t> EnginePortfolio::win_table() const {
-  std::vector<std::uint64_t> counts;
-  counts.reserve(static_cast<std::size_t>(kBuckets) * kSlots);
-  for (const auto& bucket : wins_) {
-    for (const auto& slot : bucket) counts.push_back(slot.load(std::memory_order_relaxed));
-  }
-  return counts;
-}
-
-void EnginePortfolio::merge_win_table(const std::vector<std::uint64_t>& counts) {
-  if (counts.size() != static_cast<std::size_t>(kBuckets) * kSlots) return;
-  std::size_t i = 0;
-  for (auto& bucket : wins_) {
-    for (auto& slot : bucket) slot.fetch_add(counts[i++], std::memory_order_relaxed);
-  }
-}
-
-Engine EnginePortfolio::preferred_engine(int n) const {
-  const auto& bucket = wins_[static_cast<std::size_t>(bucket_of(n))];
-  const std::uint64_t hk = bucket[0].load(std::memory_order_relaxed);
-  const std::uint64_t bb = bucket[1].load(std::memory_order_relaxed);
-  const std::uint64_t lk = bucket[2].load(std::memory_order_relaxed);
-  if (hk == 0 && bb == 0 && lk == 0) {
-    return n <= std::min(options_.exact_max_n, kHeldKarpMemoryCapN) ? Engine::HeldKarp
-                                                                    : Engine::ChainedLK;
-  }
-  if (hk >= bb && hk >= lk) return Engine::HeldKarp;
-  if (bb >= lk) return Engine::BranchBound;
-  return Engine::ChainedLK;
 }
 
 PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
@@ -99,8 +52,8 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
   if (n <= 3) {
     // Too small to be worth a race (or a thread hop): enumerate exactly.
     // Counted in races_total but not in any per-engine slot — brute force
-    // shares the heuristic slot in the win table, and folding its
-    // microsecond runs into chained-lk's latency histogram would skew it.
+    // would share the heuristic slot, and folding its microsecond runs
+    // into chained-lk's latency histogram would skew it.
     outcome.solution = brute_force_path(instance);
     outcome.optimal = true;
     outcome.winner = Engine::BruteForce;
@@ -121,8 +74,8 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
   // Learned per-bucket effort: scales heuristic kicks and the exact
   // budgets; 100% with the default overrun factor when no tuner is
   // attached.
-  const EffortPolicy effort =
-      tuner_ != nullptr ? tuner_->effort(bucket_of(n)) : EffortPolicy{};
+  const int bucket = obs::size_bucket(n);
+  const EffortPolicy effort = tuner_ != nullptr ? tuner_->effort(bucket) : EffortPolicy{};
 
   bool use_hk = n <= std::min(options_.exact_max_n, kHeldKarpMemoryCapN);
   if (use_hk && deadline.count() > 0) {
@@ -142,7 +95,7 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
   if (run_exact && tuner_ != nullptr) {
     // Decayed pre-trim with epsilon re-probe (the tuner journals its own
     // trim flips and counts skips/re-probes).
-    run_exact = tuner_->admit_exact(bucket_of(n));
+    run_exact = tuner_->admit_exact(bucket);
   }
 
   std::atomic<bool> cancel{false};
@@ -282,14 +235,6 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
     outcome.optimal = winner.attempt.optimal;
     outcome.winner = winner.attempt.engine;
     slot_wins_[static_cast<std::size_t>(slot_of(outcome.winner))].add();
-    if (verified_attempts >= 2) {
-      // Only contested races teach the scheduler anything. Walkovers —
-      // including races where a cancelled Held–Karp forfeited without a
-      // solution — would make an exact-engine skip self-reinforcing.
-      wins_[static_cast<std::size_t>(bucket_of(n))]
-           [static_cast<std::size_t>(slot_of(outcome.winner))]
-               .fetch_add(1, std::memory_order_relaxed);
-    }
   } else {
     outcome.solution.cost = -1;  // no engine verified — caller reports EngineFailure
     races_failed_.add();
@@ -303,14 +248,15 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
         static_cast<std::uint64_t>(std::max(0.0, outcome.seconds - winner_seconds) * 1e9));
   }
   if (tuner_ != nullptr) {
-    // Feed the race back: contested mirrors the win table's rule, so the
-    // tuner's decayed scores and the persisted counts learn from the same
-    // evidence. Walkovers still teach the latency predictor and the
-    // effort windows — they are real costs the admission gate must price.
+    // Feed the race back. Only contested races move the win scores:
+    // walkovers — including races where a cancelled Held–Karp forfeited
+    // without a solution — would make an exact-engine skip
+    // self-reinforcing. They still teach the latency predictor and the
+    // effort windows — real costs the admission gate must price.
     const bool exact_won = best >= 0 && (outcome.winner == Engine::HeldKarp ||
                                          outcome.winner == Engine::BranchBound);
-    tuner_->observe_race(bucket_of(n), exact_won, best >= 0 && verified_attempts >= 2,
-                        static_cast<std::uint64_t>(outcome.seconds * 1e9), deadline.count());
+    tuner_->observe_race(bucket, exact_won, best >= 0 && verified_attempts >= 2,
+                         static_cast<std::uint64_t>(outcome.seconds * 1e9), deadline.count());
   }
   return outcome;
 }

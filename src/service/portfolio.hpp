@@ -58,9 +58,9 @@ struct PortfolioOutcome {
 /// (Held–Karp for small n, BranchBound above) and the strongest heuristic
 /// (ChainedLK) concurrently on a TaskPool, cancels stragglers at the
 /// deadline, and returns the best result among those that verify
-/// (permutation check + independent cost recomputation). Race winners are
-/// recorded per size bucket, so over time the portfolio learns which
-/// engine to trust for which instance sizes.
+/// (permutation check + independent cost recomputation). What the races
+/// teach — whether to launch the exact engine, and how hard each engine
+/// works — is learned per size bucket by an attached EngineTuner.
 class EnginePortfolio {
  public:
   explicit EnginePortfolio(TaskPool& pool, const PortfolioOptions& options = {});
@@ -70,25 +70,11 @@ class EnginePortfolio {
   PortfolioOutcome race(const MetricInstance& instance,
                         std::optional<std::chrono::milliseconds> deadline_override = {});
 
-  /// The engine that has won most races for instances of size n (falls
-  /// back to a size-based static choice before any race has been run).
-  [[nodiscard]] Engine preferred_engine(int n) const;
-
-  /// Total races recorded per (size bucket, engine slot); exposed for
-  /// tests and monitoring.
-  [[nodiscard]] std::uint64_t wins(int n, Engine engine) const;
-
   [[nodiscard]] const PortfolioOptions& options() const noexcept { return options_; }
-
-  /// Win-table dimensions, public so the durable store can persist the
-  /// table with its shape and refuse records from a build that changed it.
-  static constexpr int kBuckets = 32;           // bucket = bit_width(n)
-  static constexpr int kSlots = 3;              // HeldKarp / BranchBound / ChainedLK
 
   /// Held-Karp's hard memory cap: its 2^n * n DP table stops being a
   /// sane allocation above this n regardless of what exact_max_n asks
-  /// for. One constant shared by preferred_engine and race, so the two
-  /// call sites cannot drift.
+  /// for.
   static constexpr int kHeldKarpMemoryCapN = 22;
 
   /// Attach the learning layer (not owned; must outlive every race).
@@ -98,16 +84,6 @@ class EnginePortfolio {
   /// 100% effort. Call before serving traffic — attachment is not
   /// synchronized against in-flight races.
   void attach_tuner(EngineTuner* tuner) noexcept { tuner_ = tuner; }
-
-  /// Flat snapshot of the win table (kBuckets * kSlots counters,
-  /// bucket-major) — what BatchSolver checkpoints to the durable store.
-  [[nodiscard]] std::vector<std::uint64_t> win_table() const;
-
-  /// Add persisted counters into the live table (element-wise). Merging
-  /// rather than overwriting means a restart resumes learning where the
-  /// previous process stopped, and racing in-flight wins are never lost.
-  /// Inputs of the wrong length are ignored.
-  void merge_win_table(const std::vector<std::uint64_t>& counts);
 
   /// Brownout override (rung 1 of the server's degradation ladder): while
   /// set, race() skips the exact engine entirely and serves the chained-LK
@@ -132,18 +108,15 @@ class EnginePortfolio {
   [[nodiscard]] const obs::WorkCounters& work() const noexcept { return work_; }
 
  private:
-  static int bucket_of(int n) noexcept;
+  static constexpr int kSlots = 3;  // HeldKarp / BranchBound / ChainedLK
   static int slot_of(Engine engine) noexcept;
 
   TaskPool& pool_;
   PortfolioOptions options_;
   EngineTuner* tuner_ = nullptr;
-  std::array<std::array<std::atomic<std::uint64_t>, kSlots>, kBuckets> wins_{};
-  // Observability storage, indexed by slot_of(). The win table above is
-  // learning state (bucketed by size, persisted); these are monitoring
-  // counters (global per engine, reset on restart) — different consumers,
-  // so they stay separate.
   std::atomic<bool> heuristic_only_{false};
+  // Observability storage, indexed by slot_of(): monitoring counters,
+  // global per engine and reset on restart (the tuner owns learning).
   obs::Counter races_total_;
   obs::Counter races_failed_;
   obs::Counter races_heuristic_only_;  ///< races run with the exact slot shed

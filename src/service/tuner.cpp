@@ -1,7 +1,6 @@
 #include "service/tuner.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "obs/journal.hpp"
 
@@ -13,7 +12,7 @@ namespace {
 /// here": one win decays under it only after several decay windows.
 constexpr double kExactPresenceFloor = 0.5;
 
-/// Seeded scores are capped at this many skip_scores: enough to carry a
+/// Restored scores are capped at this many skip_scores: enough to carry a
 /// verdict across a restart, small enough to decay away quickly.
 constexpr double kSeedCapFactor = 4.0;
 
@@ -40,7 +39,7 @@ EngineTuner::EngineTuner(const TunerOptions& options, std::chrono::milliseconds 
 }
 
 int EngineTuner::clamp_bucket(int bucket) noexcept {
-  return std::clamp(bucket, 0, kBuckets - 1);
+  return std::clamp(bucket, 0, obs::kSizeBuckets - 1);
 }
 
 bool EngineTuner::trimmed_now(const Bucket& bucket) const noexcept {
@@ -48,19 +47,30 @@ bool EngineTuner::trimmed_now(const Bucket& bucket) const noexcept {
          bucket.heuristic_score >= options_.skip_score;
 }
 
-void EngineTuner::seed_from_win_table(const std::vector<std::uint64_t>& counts, int slots) {
-  if (!options_.enabled || slots < 3) return;
-  if (counts.size() != static_cast<std::size_t>(kBuckets) * static_cast<std::size_t>(slots)) {
-    return;
-  }
-  const double cap = options_.skip_score * kSeedCapFactor;
+TunerState EngineTuner::snapshot() const {
+  TunerState state;
   const std::lock_guard lock(mutex_);
-  for (int b = 0; b < kBuckets; ++b) {
-    const auto base = static_cast<std::size_t>(b) * static_cast<std::size_t>(slots);
-    const double exact = static_cast<double>(counts[base] + counts[base + 1]);
-    const double heuristic = static_cast<double>(counts[base + 2]);
-    buckets_[static_cast<std::size_t>(b)].exact_score = std::min(exact, cap);
-    buckets_[static_cast<std::size_t>(b)].heuristic_score = std::min(heuristic, cap);
+  for (std::size_t b = 0; b < state.size(); ++b) {
+    state[b].exact_score = buckets_[b].exact_score;
+    state[b].heuristic_score = buckets_[b].heuristic_score;
+    state[b].effort_percent = effort_percent_[b].load(std::memory_order_relaxed);
+  }
+  return state;
+}
+
+void EngineTuner::restore(const TunerState& state) {
+  if (!options_.enabled) return;
+  const double cap = options_.skip_score * kSeedCapFactor;
+  // `score >= 0` is false for NaN, so NaN joins the negatives at 0.
+  const auto sane = [cap](double score) { return score >= 0 ? std::min(score, cap) : 0.0; };
+  const std::lock_guard lock(mutex_);
+  for (std::size_t b = 0; b < state.size(); ++b) {
+    buckets_[b].exact_score = sane(state[b].exact_score);
+    buckets_[b].heuristic_score = sane(state[b].heuristic_score);
+    if (options_.effort_update_every == 0) continue;
+    effort_percent_[b].store(std::clamp(state[b].effort_percent, options_.effort_min_percent,
+                                        options_.effort_max_percent),
+                             std::memory_order_relaxed);
   }
 }
 
@@ -175,8 +185,7 @@ EffortPolicy EngineTuner::effort(int bucket) const {
 }
 
 std::uint64_t EngineTuner::predicted_work_ns(int n, std::int64_t deadline_ms) const {
-  const auto index = static_cast<std::size_t>(
-      clamp_bucket(static_cast<int>(std::bit_width(static_cast<unsigned>(std::max(1, n))))));
+  const auto index = static_cast<std::size_t>(obs::size_bucket(n));
   std::uint64_t estimate = 0;
   const obs::HistogramSnapshot snap = race_ns_[index].snapshot();
   if (snap.count >= kMinPredictorSamples) {
@@ -214,7 +223,7 @@ std::string EngineTuner::to_json() const {
   out += ",\"effort_changes\":" + std::to_string(effort_changes_.value());
   out += ",\"buckets\":[";
   bool first = true;
-  for (int b = 0; b < kBuckets; ++b) {
+  for (int b = 0; b < obs::kSizeBuckets; ++b) {
     const auto index = static_cast<std::size_t>(b);
     double exact_score = 0;
     double heuristic_score = 0;
@@ -241,7 +250,7 @@ std::string EngineTuner::to_json() const {
            std::to_string(effort_percent_[index].load(std::memory_order_relaxed));
     out += ",\"races\":" + std::to_string(raced);
     // Price an already-observed size with no extra deadline context.
-    out += ",\"predicted_ns\":" + std::to_string(predicted_work_ns(1 << std::max(0, b - 1), 0));
+    out += ",\"predicted_ns\":" + std::to_string(predicted_work_ns(b == 0 ? 0 : 1 << (b - 1), 0));
     out.push_back('}');
   }
   out += "]}";

@@ -6,21 +6,19 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 
-/// The learning layer over the portfolio's win table and the profile
-/// plumbing (PR 9's named contract). Three policies, all fed from signals
-/// the service already collects:
+/// The learning layer over the portfolio's races and the profile plumbing.
+/// Three policies, all fed from signals the service already collects:
 ///
 ///   - Pre-trim with re-probe: replaces the frozen "skip the exact engine
 ///     after 8 heuristic wins" rule with decayed per-bucket win scores —
 ///     evidence ages out instead of accumulating forever — plus an epsilon
 ///     re-probe: every Nth otherwise-skipped race still launches the exact
-///     engine. A heuristic-heavy persisted win table can bias the learner
-///     but can never freeze it.
+///     engine. A heuristic-heavy persisted state can bias the learner but
+///     can never freeze it.
 ///   - Effort tuning: per-bucket effort percentage derived from observed
 ///     deadline hit/miss windows and slack, applied by the portfolio to
 ///     ChainedLK kick counts, BranchBound node budgets, and the Held-Karp
@@ -31,6 +29,10 @@
 ///     hot-key stats, so BatchSolver can admit against predicted pending
 ///     work (nanoseconds) instead of request count and overload rejects
 ///     expensive requests first instead of starving cheap traffic.
+///
+/// The per-bucket scores and effort are the service's only learning
+/// record: BatchSolver persists snapshot() to the durable store and
+/// restore()s it when it reopens the store.
 namespace lptsp {
 
 struct TunerOptions {
@@ -78,11 +80,21 @@ struct EffortPolicy {
   double hk_overrun_factor = 4.0;
 };
 
+/// One size bucket's learned policy, as snapshot() reads it and restore()
+/// takes it back (the durable store's tuner-state record).
+struct TunerBucketState {
+  double exact_score = 0;
+  double heuristic_score = 0;
+  int effort_percent = 100;
+
+  bool operator==(const TunerBucketState&) const = default;
+};
+
+/// Indexed by obs::size_bucket(n).
+using TunerState = std::array<TunerBucketState, obs::kSizeBuckets>;
+
 class EngineTuner {
  public:
-  /// Must match EnginePortfolio::kBuckets (asserted in portfolio.cpp);
-  /// duplicated here so this header does not depend on the portfolio's.
-  static constexpr int kBuckets = 32;
   static constexpr double kBaseHkOverrunFactor = 4.0;
 
   EngineTuner() : EngineTuner(TunerOptions{}, std::chrono::milliseconds{250}) {}
@@ -102,22 +114,27 @@ class EngineTuner {
     key_profile_ = profile;
   }
 
-  /// Seed the decayed scores from a persisted portfolio win table
-  /// (bucket-major kBuckets x `slots` flat counters, slots ordered
-  /// HeldKarp/BranchBound/ChainedLK). Counts are capped at a few
-  /// skip_scores so stale history biases the first decisions but decays
-  /// away within a couple of windows. Wrong-shape inputs are ignored.
-  void seed_from_win_table(const std::vector<std::uint64_t>& counts, int slots);
+  /// Every bucket's decayed scores and effort, read under the learning
+  /// mutex (safe against racing observe_race calls).
+  [[nodiscard]] TunerState snapshot() const;
+
+  /// Take back a snapshot, typically one read from disk. Scores are
+  /// capped at a few skip_scores, so stale history biases the first
+  /// decisions but decays away within a couple of windows; negative and
+  /// NaN scores restore as 0. Effort is clamped to
+  /// [effort_min_percent, effort_max_percent] and stays at 100% while
+  /// effort tuning is off. A disabled tuner ignores the call.
+  void restore(const TunerState& state);
 
   /// Pre-trim decision for one race at `bucket`: true = launch the exact
   /// engine (either the bucket is not trimmed, or this race is the
   /// epsilon re-probe). Emits TunerPretrim on trim-state flips.
   [[nodiscard]] bool admit_exact(int bucket);
 
-  /// Feed one finished race back. `contested` mirrors the win table's
-  /// rule (>= 2 verified attempts); only contested races move the win
-  /// scores, but every race feeds the latency predictor and — when
-  /// deadline-bounded — the effort window.
+  /// Feed one finished race back. `contested` means >= 2 verified
+  /// attempts; only contested races move the win scores, but every race
+  /// feeds the latency predictor and — when deadline-bounded — the effort
+  /// window.
   void observe_race(int bucket, bool exact_won, bool contested, std::uint64_t race_ns,
                     std::int64_t deadline_ms);
 
@@ -169,11 +186,11 @@ class EngineTuner {
   /// engine race (milliseconds apart), so contention is negligible — and
   /// the race-path reads (effort, prediction) never take it.
   mutable std::mutex mutex_;
-  std::array<Bucket, kBuckets> buckets_;
+  std::array<Bucket, obs::kSizeBuckets> buckets_;
 
   /// Lock-free views of the learned policy, written under mutex_.
-  std::array<std::atomic<int>, kBuckets> effort_percent_;
-  std::array<obs::LatencyHistogram, kBuckets> race_ns_;
+  std::array<std::atomic<int>, obs::kSizeBuckets> effort_percent_;
+  std::array<obs::LatencyHistogram, obs::kSizeBuckets> race_ns_;
 
   obs::Counter reprobes_;        ///< trimmed races that launched exact anyway
   obs::Counter pretrim_skips_;   ///< races that skipped the exact engine

@@ -10,7 +10,9 @@ namespace lptsp {
 
 namespace {
 
-constexpr char kWinTableKey[] = "win-table";
+/// Stores written by earlier builds may also hold a "win-table" record of
+/// engine win counts in this namespace; nothing reads it.
+constexpr char kTunerStateKey[] = "tuner-state";
 
 }  // namespace
 
@@ -120,12 +122,12 @@ std::uint64_t PersistentBackend::for_each_result(
   return undecodable;
 }
 
-void PersistentBackend::put_win_table(const WinTableRecord& table) {
+void PersistentBackend::put_tuner_state(const TunerState& state) {
   if (!allow_write()) return;
   const std::uint64_t begin_ns = obs::steady_now_ns();
   std::vector<std::uint8_t> value;
-  encode_win_table(value, table);
-  note_write(kv_->put(kMetaNamespace, kWinTableKey,
+  encode_tuner_state(value, state);
+  note_write(kv_->put(kMetaNamespace, kTunerStateKey,
                       std::string(reinterpret_cast<const char*>(value.data()), value.size())));
   append_ns_.record(obs::steady_now_ns() - begin_ns);
 }
@@ -155,16 +157,16 @@ void PersistentBackend::register_metrics(obs::MetricRegistry& registry, const vo
   registry.register_counter("store_reopens", &reopens_, owner);
 }
 
-std::optional<WinTableRecord> PersistentBackend::load_win_table() const {
-  const std::optional<std::string> value = kv_->get(kMetaNamespace, kWinTableKey);
+std::optional<TunerState> PersistentBackend::load_tuner_state() const {
+  const std::optional<std::string> value = kv_->get(kMetaNamespace, kTunerStateKey);
   if (!value.has_value()) return std::nullopt;
-  WinTableRecord table;
+  TunerState state;
   std::string error;
-  if (!decode_win_table(reinterpret_cast<const std::uint8_t*>(value->data()), value->size(),
-                        table, error)) {
+  if (!decode_tuner_state(reinterpret_cast<const std::uint8_t*>(value->data()), value->size(),
+                          state, error)) {
     return std::nullopt;
   }
-  return table;
+  return state;
 }
 
 }  // namespace lptsp

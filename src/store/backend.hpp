@@ -18,10 +18,10 @@ namespace lptsp {
 
 /// The durable face of the serving layer: one KvStore file holding the
 /// solve cache's verified results (namespace 0, keyed by the exact
-/// canonical result keys the in-memory cache uses) and the engine
-/// portfolio's win table (namespace 1). SolveCache writes results through
-/// here and warms itself back up via for_each_result; BatchSolver
-/// checkpoints the win table on shutdown.
+/// canonical result keys the in-memory cache uses) and the engine tuner's
+/// learned state (namespace 1). SolveCache writes results through here and
+/// warms itself back up via for_each_result; BatchSolver restores the
+/// tuner state on open and checkpoints it on shutdown.
 ///
 /// Persistence is best-effort by design: an IO failure flips writes into
 /// counted no-ops instead of failing solves — the store is a cache of
@@ -78,8 +78,10 @@ class PersistentBackend {
   std::uint64_t for_each_result(
       const std::function<void(const std::string& key, PersistedResult&& record)>& fn) const;
 
-  void put_win_table(const WinTableRecord& table);
-  [[nodiscard]] std::optional<WinTableRecord> load_win_table() const;
+  void put_tuner_state(const TunerState& state);
+  /// The last persisted tuner state; nullopt when none is stored or the
+  /// record does not decode (a fresh tuner is the safe fallback).
+  [[nodiscard]] std::optional<TunerState> load_tuner_state() const;
 
   /// Writes that failed at the KV/log layer since open (observability).
   [[nodiscard]] std::uint64_t write_failures() const noexcept { return write_failures_.value(); }
@@ -119,11 +121,11 @@ class PersistentBackend {
   std::unique_ptr<KvStore> kv_;
   Options options_;
   /// Serializes put_result's read-compare-write so the monotonicity check
-  /// is atomic across racing result writers (win-table puts don't need it).
+  /// is atomic across racing result writers (tuner-state puts don't need it).
   std::mutex result_put_mutex_;
   obs::Counter write_failures_;
   /// End-to-end latency of durable appends (encode + monotonicity peek +
-  /// KV put), recorded in both put_result and put_win_table.
+  /// KV put), recorded in both put_result and put_tuner_state.
   obs::LatencyHistogram append_ns_;
 
   // Degradation ladder state. `degraded_` is the mode flag (also the

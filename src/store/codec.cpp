@@ -1,5 +1,8 @@
 #include "store/codec.hpp"
 
+#include <bit>
+#include <cmath>
+
 #include "graph/io.hpp"
 #include "util/endian.hpp"
 
@@ -8,14 +11,14 @@ namespace lptsp {
 namespace {
 
 constexpr std::uint8_t kResultFormatVersion = 1;
-constexpr std::uint8_t kWinTableFormatVersion = 1;
+constexpr std::uint8_t kTunerStateFormatVersion = 1;
+constexpr std::size_t kTunerBucketBytes = 8 + 8 + 4;  // two f64 scores, u32 effort
 
 /// Engines are persisted as their enum value; anything beyond the last
 /// enumerator is a corrupt or future record.
 constexpr std::uint8_t kMaxEngine = static_cast<std::uint8_t>(Engine::BranchBound);
 
-constexpr std::uint32_t kMaxPDimension = 64;        // k far beyond any real request
-constexpr std::uint32_t kMaxWinTableCells = 4096;   // buckets * slots sanity bound
+constexpr std::uint32_t kMaxPDimension = 64;  // k far beyond any real request
 
 using endian::try_get_u32;
 using endian::try_get_u64;
@@ -131,42 +134,44 @@ bool decode_persisted_result(const std::uint8_t* data, std::size_t size,
   return true;
 }
 
-void encode_win_table(std::vector<std::uint8_t>& out, const WinTableRecord& table) {
-  out.push_back(kWinTableFormatVersion);
-  endian::put_u32(out, table.buckets);
-  endian::put_u32(out, table.slots);
-  for (const std::uint64_t count : table.counts) endian::put_u64(out, count);
+void encode_tuner_state(std::vector<std::uint8_t>& out, const TunerState& state) {
+  out.push_back(kTunerStateFormatVersion);
+  endian::put_u32(out, static_cast<std::uint32_t>(state.size()));
+  for (const TunerBucketState& bucket : state) {
+    endian::put_u64(out, std::bit_cast<std::uint64_t>(bucket.exact_score));
+    endian::put_u64(out, std::bit_cast<std::uint64_t>(bucket.heuristic_score));
+    endian::put_u32(out, static_cast<std::uint32_t>(bucket.effort_percent));
+  }
 }
 
-bool decode_win_table(const std::uint8_t* data, std::size_t size, WinTableRecord& table,
-                      std::string& error) {
-  std::size_t offset = 0;
-  std::uint8_t version = 0;
-  if (!try_get_u8(data, size, offset, version) || version != kWinTableFormatVersion) {
-    error = "win table record: bad version";
+bool decode_tuner_state(const std::uint8_t* data, std::size_t size, TunerState& state,
+                        std::string& error) {
+  constexpr std::size_t kHeaderBytes = 1 + 4;  // version, bucket count
+  const std::size_t expected = kHeaderBytes + state.size() * kTunerBucketBytes;
+  if (size == 0 || data[0] != kTunerStateFormatVersion) {
+    error = "tuner state record: bad version";
     return false;
   }
-  if (!try_get_u32(data, size, offset, table.buckets) ||
-      !try_get_u32(data, size, offset, table.slots)) {
-    error = "win table record: truncated dimensions";
+  if (size >= kHeaderBytes && endian::get_u32(data + 1) != state.size()) {
+    error = "tuner state record: wrong bucket count";
     return false;
   }
-  const std::uint64_t cells =
-      static_cast<std::uint64_t>(table.buckets) * static_cast<std::uint64_t>(table.slots);
-  if (cells == 0 || cells > kMaxWinTableCells) {
-    error = "win table record: implausible dimensions";
+  if (size != expected) {
+    error = size < expected ? "tuner state record: truncated" : "tuner state record: trailing bytes";
     return false;
   }
-  table.counts.assign(cells, 0);
-  for (std::uint64_t i = 0; i < cells; ++i) {
-    if (!try_get_u64(data, size, offset, table.counts[i])) {
-      error = "win table record: truncated counts";
-      return false;
+  const std::uint8_t* at = data + kHeaderBytes;
+  for (TunerBucketState& bucket : state) {
+    bucket.exact_score = std::bit_cast<double>(endian::get_u64(at));
+    bucket.heuristic_score = std::bit_cast<double>(endian::get_u64(at + 8));
+    bucket.effort_percent = static_cast<int>(endian::get_u32(at + 16));
+    at += kTunerBucketBytes;
+    for (const double score : {bucket.exact_score, bucket.heuristic_score}) {
+      if (!std::isfinite(score) || score < 0) {
+        error = "tuner state record: score not a finite non-negative number";
+        return false;
+      }
     }
-  }
-  if (offset != size) {
-    error = "win table record: trailing bytes";
-    return false;
   }
   return true;
 }

@@ -6,6 +6,7 @@
 
 #include "graph/graph.hpp"
 #include "service/solve_cache.hpp"
+#include "service/tuner.hpp"
 
 namespace lptsp {
 
@@ -51,18 +52,15 @@ void encode_persisted_result(std::vector<std::uint8_t>& out, const Graph& canon,
 [[nodiscard]] bool peek_persisted_result_quality(const std::uint8_t* data, std::size_t size,
                                                  Weight& span, bool& optimal);
 
-/// The engine portfolio's win table as persisted: a flat bucket-major
-/// counter matrix. Dimensions are recorded so a build that resizes the
-/// table simply ignores old records instead of misattributing counts.
-struct WinTableRecord {
-  std::uint32_t buckets = 0;
-  std::uint32_t slots = 0;
-  std::vector<std::uint64_t> counts;  ///< buckets * slots, bucket-major
-};
+/// The engine tuner's learned policy as persisted: a version byte, the
+/// bucket count, then per bucket the exact and heuristic scores (IEEE-754
+/// doubles as u64 bits) and the effort percent (u32).
+void encode_tuner_state(std::vector<std::uint8_t>& out, const TunerState& state);
 
-void encode_win_table(std::vector<std::uint8_t>& out, const WinTableRecord& table);
-
-[[nodiscard]] bool decode_win_table(const std::uint8_t* data, std::size_t size,
-                                    WinTableRecord& table, std::string& error);
+/// Decode a tuner-state record. Returns false with a diagnostic on a wrong
+/// version or bucket count, truncation, trailing bytes, or a non-finite or
+/// negative score; EngineTuner::restore clamps the effort.
+[[nodiscard]] bool decode_tuner_state(const std::uint8_t* data, std::size_t size,
+                                      TunerState& state, std::string& error);
 
 }  // namespace lptsp

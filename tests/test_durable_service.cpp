@@ -2,9 +2,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -43,6 +48,18 @@ BatchSolver::Options durable_options(const std::string& path) {
   options.request_workers = 2;
   options.engine_workers = 2;
   return options;
+}
+
+/// Serve `count` fresh graphs through a durable solver and return what its
+/// tuner holds afterwards (the destructor then checkpoints it).
+TunerState serve(const std::string& path, int count, std::uint64_t seed, bool learn = true) {
+  BatchSolver::Options options = durable_options(path);
+  options.tuner.enabled = learn;
+  BatchSolver solver(options);
+  for (const Graph& graph : make_graphs(count, seed)) {
+    EXPECT_TRUE(solver.solve_one(request_for(graph)).ok());
+  }
+  return solver.tuner().snapshot();
 }
 
 std::vector<char> read_file(const std::string& path) {
@@ -144,24 +161,121 @@ TEST(DurableService, BitFlippedRecordDropsOnlyThatEntry) {
   std::remove(path.c_str());
 }
 
-TEST(DurableService, WinTablePersistsAcrossRestart) {
-  const std::string path = temp_store("wintable");
+TEST(DurableService, TunerStatePersistsAcrossRestart) {
+  const std::string path = temp_store("tuner");
   std::remove(path.c_str());
-  std::vector<std::uint64_t> before;
-  {
-    BatchSolver solver(durable_options(path));
-    for (const Graph& graph : make_graphs(8, 53)) {
-      ASSERT_TRUE(solver.solve_one(request_for(graph)).ok());
-    }
-    before = solver.portfolio().win_table();
+  const TunerState before = serve(path, 8, 53);
+  ASSERT_NE(before, TunerState{}) << "expected at least one contested race";
+  for (const TunerBucketState& bucket : before) {
+    // Under restore()'s cap (4 x skip_score), so every score must come back as is.
+    ASSERT_LT(std::max(bucket.exact_score, bucket.heuristic_score), 32.0);
   }
-  std::uint64_t races = 0;
-  for (const std::uint64_t count : before) races += count;
-  ASSERT_GT(races, 0u) << "expected at least one contested race to be recorded";
-
-  BatchSolver solver(durable_options(path));
-  EXPECT_EQ(solver.portfolio().win_table(), before);
+  EXPECT_EQ(serve(path, 0, 0), before);
   std::remove(path.c_str());
+}
+
+/// A run with learning off must not overwrite what an earlier run learned:
+/// its tuner holds defaults, and checkpointing them would erase the record.
+TEST(DurableService, NoLearnRunKeepsTheLearnedTunerState) {
+  const std::string path = temp_store("nolearn");
+  std::remove(path.c_str());
+  const TunerState learned = serve(path, 8, 53);
+  ASSERT_NE(learned, TunerState{});
+  EXPECT_EQ(serve(path, 8, 54, /*learn=*/false), TunerState{});
+  EXPECT_EQ(serve(path, 0, 0), learned);
+  std::remove(path.c_str());
+}
+
+/// Stores written before the tuner state was persisted hold a version-1
+/// "win-table" record of per-bucket engine win counts. It is not read: the
+/// service starts with a fresh tuner and serves as usual.
+TEST(DurableService, LegacyWinCountRecordIsIgnored) {
+  const std::string path = temp_store("oldwins");
+  std::remove(path.c_str());
+  {
+    PersistentBackend::Options options;
+    options.path = path;
+    std::string error;
+    auto backend = PersistentBackend::open(options, error);
+    ASSERT_NE(backend, nullptr) << error;
+    // Version 1, 32 buckets x 3 engine slots of u64 win counts, with 200
+    // heuristic wins in the n = 12 bucket.
+    std::string record(1 + 4 + 4 + 32 * 3 * 8, '\0');
+    record[0] = 1;
+    record[1] = 32;
+    record[5] = 3;
+    record[9 + (4 * 3 + 2) * 8] = static_cast<char>(200);
+    ASSERT_TRUE(backend->kv().put(PersistentBackend::kMetaNamespace, "win-table", record));
+  }
+  BatchSolver solver(durable_options(path));
+  EXPECT_EQ(solver.tuner().snapshot(), TunerState{});
+  ASSERT_TRUE(solver.solve_one(request_for(make_graphs(1, 61)[0])).ok());
+  EXPECT_EQ(solver.tuner().pretrim_skips(), 0u);
+  std::remove(path.c_str());
+}
+
+/// Checkpoints read the tuner under its mutex while engine workers report
+/// races into it; the sanitizer legs run this for data races.
+TEST(DurableService, CheckpointTunerWhileRequestsRace) {
+  const std::string path = temp_store("checkpoint_race");
+  std::remove(path.c_str());
+  BatchSolver::Options options = durable_options(path);
+  options.use_cache = false;  // every request races
+  BatchSolver solver(options);
+  // Declared after the solver, so it stops and joins first on every path.
+  std::jthread checkpointer([&solver](const std::stop_token& stop) {
+    while (!stop.stop_requested()) {
+      solver.checkpoint_tuner();
+      std::this_thread::sleep_for(std::chrono::microseconds{200});
+    }
+  });
+  std::vector<std::future<SolveResponse>> responses;
+  for (const Graph& graph : make_graphs(12, 67)) {
+    responses.push_back(solver.submit(request_for(graph)));
+  }
+  for (auto& response : responses) EXPECT_TRUE(response.get().ok());
+  checkpointer.request_stop();
+  checkpointer.join();
+
+  solver.checkpoint_tuner();
+  EXPECT_EQ(solver.store()->load_tuner_state(), solver.tuner().snapshot());
+  std::remove(path.c_str());
+}
+
+TEST(TunerStateCodec, RoundTripsAndRejectsEachMalformedRecord) {
+  TunerState state;
+  state[4] = {3.0, 0.25, 175};
+  std::vector<std::uint8_t> good;
+  encode_tuner_state(good, state);
+  TunerState decoded;
+  std::string error;
+  ASSERT_TRUE(decode_tuner_state(good.data(), good.size(), decoded, error)) << error;
+  EXPECT_EQ(decoded, state);
+
+  const auto rejects = [&](const std::vector<std::uint8_t>& bytes, const std::string& why) {
+    EXPECT_FALSE(decode_tuner_state(bytes.data(), bytes.size(), decoded, error)) << why;
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+  };
+  std::vector<std::uint8_t> bad = good;
+  bad[0] = 2;
+  rejects(bad, "bad version");
+  bad = good;
+  bad[1] = 31;  // little-endian u32 bucket count right after the version
+  rejects(bad, "wrong bucket count");
+  for (std::size_t size = 1; size < good.size(); ++size) {
+    rejects({good.begin(), good.begin() + static_cast<std::ptrdiff_t>(size)}, "truncated");
+  }
+  bad = good;
+  bad.push_back(0);
+  rejects(bad, "trailing bytes");
+  for (const double score : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -1.0}) {
+    TunerState poisoned;
+    poisoned[7].heuristic_score = score;
+    bad.clear();
+    encode_tuner_state(bad, poisoned);
+    rejects(bad, "score");
+  }
 }
 
 /// Records whose bytes are intact (CRC passes) but whose contents are

@@ -3,15 +3,13 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
-#include <vector>
 
 #include "graph/generators.hpp"
 #include "service/batch_solver.hpp"
-#include "service/portfolio.hpp"
 #include "service/tuner.hpp"
 #include "store/backend.hpp"
-#include "store/codec.hpp"
 #include "util/rng.hpp"
 
 namespace lptsp {
@@ -90,13 +88,14 @@ TEST(EngineTuner, DecayAgesOutHeuristicDominance) {
   EXPECT_TRUE(tuner.admit_exact(4));
 }
 
-TEST(EngineTuner, SeededPoisonedTableIsCappedAndRecoverable) {
+TEST(EngineTuner, RestoredPoisonedStateIsCappedAndRecoverable) {
   EngineTuner tuner(fast_options(), kDeadline);
-  // A poisoned persisted table: 100k heuristic wins in bucket 4, zero
+  // A poisoned persisted state: a huge heuristic score in bucket 4, zero
   // exact. Under the frozen rule this disabled the exact engine forever.
-  std::vector<std::uint64_t> counts(32 * 3, 0);
-  counts[4 * 3 + 2] = 100'000;
-  tuner.seed_from_win_table(counts, 3);
+  TunerState poisoned;
+  poisoned[4].heuristic_score = 100'000;
+  tuner.restore(poisoned);
+  EXPECT_EQ(tuner.snapshot()[4].heuristic_score, 16.0);  // skip_score * 4
 
   EXPECT_FALSE(tuner.admit_exact(4));  // biased: starts trimmed...
   int admitted = 0;
@@ -105,19 +104,32 @@ TEST(EngineTuner, SeededPoisonedTableIsCappedAndRecoverable) {
   }
   EXPECT_GT(admitted, 0);  // ...but the re-probe still fires.
 
-  // The seed is capped (skip_score * 4 = 16), so a handful of decay
-  // windows erases it: 16 -> 8 -> 4(=skip_score) -> 2 < skip_score.
+  // The restored score is capped (skip_score * 4 = 16), so a handful of
+  // decay windows erases it: 16 -> 8 -> 4(=skip_score) -> 2 < skip_score.
   for (int i = 0; i < 24; ++i) {
     tuner.observe_race(4, false, false, 1'000'000, 0);
   }
   EXPECT_TRUE(tuner.admit_exact(4));
 }
 
-TEST(EngineTuner, WrongShapeSeedIsIgnored) {
+TEST(EngineTuner, RestoreSanitizesScoresAndClampsEffort) {
+  TunerState state;
+  state[3] = {-5.0, std::numeric_limits<double>::quiet_NaN(), 10'000};
+  state[4] = {std::numeric_limits<double>::infinity(), 2.5, -40};
+  state[5] = {1.5, 0.0, 150};
   EngineTuner tuner(fast_options(), kDeadline);
-  tuner.seed_from_win_table(std::vector<std::uint64_t>(7, 1'000'000), 3);
-  tuner.seed_from_win_table(std::vector<std::uint64_t>(32 * 2, 1'000'000), 2);
-  EXPECT_TRUE(tuner.admit_exact(4));
+  tuner.restore(state);
+  const TunerState got = tuner.snapshot();
+  EXPECT_EQ(got[3], (TunerBucketState{0.0, 0.0, 400}));   // effort_max_percent
+  EXPECT_EQ(got[4], (TunerBucketState{16.0, 2.5, 25}));   // the cap, effort_min_percent
+  EXPECT_EQ(got[5], state[5]);                            // in range: taken as is
+  EXPECT_EQ(tuner.effort(5).percent, 150);
+
+  TunerOptions fixed_effort = fast_options();
+  fixed_effort.effort_update_every = 0;  // effort tuning off: stays at 100%
+  EngineTuner untuned(fixed_effort, kDeadline);
+  untuned.restore(state);
+  EXPECT_EQ(untuned.snapshot()[5], (TunerBucketState{1.5, 0.0, 100}));
 }
 
 TEST(EngineTuner, EffortShedsOnDeadlineMisses) {
@@ -187,6 +199,10 @@ TEST(EngineTuner, DisabledTunerIsInert) {
   EXPECT_EQ(tuner.effort(4).percent, 100);
   EXPECT_EQ(tuner.pretrim_skips(), 0u);
   EXPECT_FALSE(tuner.to_json().empty());
+  TunerState learned;
+  learned[4] = {0.0, 100.0, 300};
+  tuner.restore(learned);
+  EXPECT_EQ(tuner.snapshot(), TunerState{});
 }
 
 TEST(EngineTuner, ToJsonListsOnlyObservedBuckets) {
@@ -203,11 +219,11 @@ TEST(EngineTuner, ToJsonListsOnlyObservedBuckets) {
 
 // ---------------------------------------------------------------------------
 // The regression that motivated this layer, at service level: a restart
-// over a heuristic-poisoned persisted win table must not freeze the exact
-// engine out (the old cumulative skip rule did exactly that).
+// over a heuristic-poisoned persisted tuner state must not freeze the
+// exact engine out (the old cumulative skip rule did exactly that).
 // ---------------------------------------------------------------------------
 
-TEST(TunerService, RestartOverPoisonedWinTableStillRunsExactEngine) {
+TEST(TunerService, RestartOverPoisonedTunerStateStillRunsExactEngine) {
   const std::string path = ::testing::TempDir() + "lptsp_poisoned_" +
                            std::to_string(::getpid()) + ".store";
   std::remove(path.c_str());
@@ -219,13 +235,9 @@ TEST(TunerService, RestartOverPoisonedWinTableStillRunsExactEngine) {
     ASSERT_NE(backend, nullptr) << error;
     // Every n=12-sized race "won" by the heuristic, none by an exact
     // engine — the poison that used to trip the frozen skip rule.
-    WinTableRecord table;
-    table.buckets = EnginePortfolio::kBuckets;
-    table.slots = EnginePortfolio::kSlots;
-    table.counts.assign(
-        static_cast<std::size_t>(EnginePortfolio::kBuckets) * EnginePortfolio::kSlots, 0);
-    table.counts[4 * EnginePortfolio::kSlots + 2] = 1'000;  // bucket of n=12, ChainedLK slot
-    backend->put_win_table(table);
+    TunerState poisoned;
+    poisoned[static_cast<std::size_t>(obs::size_bucket(12))].heuristic_score = 1'000;
+    backend->put_tuner_state(poisoned);
   }
 
   BatchSolver::Options options;
@@ -233,27 +245,32 @@ TEST(TunerService, RestartOverPoisonedWinTableStillRunsExactEngine) {
   options.use_cache = false;  // every request must race, nothing may hit
   options.request_workers = 2;
   options.engine_workers = 2;
+  // Unbounded races: an admitted exact engine always finishes, so nothing
+  // below depends on how fast a solve runs.
+  options.portfolio.deadline = std::chrono::milliseconds{0};
   BatchSolver solver(options);
+  const TunerBucketState restored =
+      solver.tuner().snapshot()[static_cast<std::size_t>(obs::size_bucket(12))];
+  ASSERT_GT(restored.heuristic_score, solver.tuner().options().skip_score);
+  ASSERT_EQ(restored.exact_score, 0.0);
 
   Rng rng(11);
   SolveRequest request;
   request.p = PVec::L21();
   bool exact_won = false;
-  // At n=12 with the default (generous) deadline Held-Karp finishes and
-  // wins ties against the heuristic, so a single admitted re-probe is
-  // enough to put an exact win on the board.
+  // At n=12 Held-Karp finishes and wins ties against the heuristic, so a
+  // single admitted re-probe is enough to put an exact win on the board.
   for (int i = 0; i < 64 && !exact_won; ++i) {
     request.graph = random_with_diameter_at_most(12, 2, 0.3, rng);
     const SolveResponse response = solver.solve_one(request);
     ASSERT_TRUE(response.ok()) << response.message;
-    exact_won = solver.portfolio().wins(12, Engine::HeldKarp) +
-                    solver.portfolio().wins(12, Engine::BranchBound) >
-                0;
+    exact_won = response.engine == Engine::HeldKarp || response.engine == Engine::BranchBound;
   }
   EXPECT_TRUE(exact_won)
-      << "poisoned persisted win table froze the exact engine out: no exact win "
+      << "poisoned persisted tuner state froze the exact engine out: no exact win "
       << "recorded in 64 races (re-probe should fire every few skips)";
-  EXPECT_GT(solver.tuner().reprobes() + solver.portfolio().wins(12, Engine::HeldKarp), 0u);
+  const obs::MetricsSnapshot snap = solver.metrics_registry().snapshot();
+  EXPECT_GT(solver.tuner().reprobes() + snap.counter_or("engine_race_wins_held_karp"), 0u);
   std::remove(path.c_str());
 }
 

@@ -51,7 +51,7 @@
 /// absent); --state-dir is the directory flavor (uses DIR/lptspd.store,
 /// creating DIR). A restarted daemon reloads, re-verifies, and serves its
 /// previously solved results without re-running an engine, and resumes the
-/// portfolio's engine-choice learning where it stopped. --cache-sync adds
+/// tuner's engine-choice learning where it stopped. --cache-sync adds
 /// an fsync per persisted result (default: OS page-cache durability).
 ///
 /// Degradation ladder: --store-degraded-after=K flips the durable store
@@ -70,11 +70,12 @@
 ///
 /// Learning loop: the tuner (on by default) pre-trims the exact engine
 /// per size bucket from decayed win scores but re-probes it every
-/// --learn-reprobe-th skipped race (so a heuristic-heavy persisted win
-/// table can bias but never freeze it), decays scores every
+/// --learn-reprobe-th skipped race (so a heuristic-heavy persisted state
+/// can bias but never freeze it), decays scores every
 /// --learn-decay-every races, and re-tunes per-bucket engine effort every
 /// --learn-effort-every deadline-bounded races. --no-learn detaches the
-/// tuner: every race launches the exact engine at fixed effort.
+/// tuner: every race launches the exact engine at fixed effort, and the
+/// learned state already in the store is left as it was.
 /// --admission-work-budget=MS admits requests against predicted pending
 /// engine work (rejecting when the backlog's predicted cost exceeds MS
 /// milliseconds) instead of only counting them;
@@ -297,16 +298,16 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "lptspd: cannot write --stats-json %s: %s\n", stats_json.c_str(),
                      std::strerror(errno));
       }
-      // Piggyback a win-table checkpoint on the stats tick so a crash
-      // loses at most one interval of engine-choice learning.
-      solver.checkpoint_win_table();
+      // Piggyback a tuner checkpoint on the stats tick so a crash loses
+      // at most one interval of engine-choice learning.
+      solver.checkpoint_tuner();
     }
   }
 
   std::printf("lptspd: shutting down\n");
   server.stop();
   // Final snapshot + checkpoint after the server stops, so the file and
-  // win table reflect every request that was served.
+  // tuner state reflect every request that was served.
   if (!stats_json.empty()) {
     write_snapshot_file(stats_json, solver.metrics_registry().snapshot().to_json());
   }
@@ -316,6 +317,6 @@ int main(int argc, char** argv) {
   if (!profile_json.empty()) {
     write_snapshot_file(profile_json, solver.profile_json());
   }
-  solver.checkpoint_win_table();
+  solver.checkpoint_tuner();
   return 0;
 }

@@ -2,9 +2,10 @@
 ///
 /// Part A: reduction wall time against n*m; the "t/(nm) [ns]" column
 /// should stay roughly constant, confirming the claimed O(nm) + O(n^2)
-/// complexity. Part B: thread sweep for the three parallelizable kernels
-/// (APSP BFS fan-out, Held-Karp layers, chained-LK multi-start). On a
-/// single-core host the sweep documents overhead rather than speedup; on
+/// complexity. Part B: serial vs shared-pool runs of the three
+/// parallelizable kernels (APSP BFS fan-out, Held-Karp layers, chained-LK
+/// multi-start); the pool row names the pool's worker count. On a
+/// single-core host it documents overhead rather than speedup; on
 /// multicore machines the same binary shows the scaling. Part C: the
 /// paper's own diameter-2 target class, where the bit-parallel
 /// word-intersection kernel replaces per-source adjacency-list BFS — both
@@ -12,6 +13,7 @@
 /// recorded in BENCH_e9_reduction_parallel.json.
 
 #include <cstdio>
+#include <string>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -20,6 +22,7 @@
 #include "graph/bfs.hpp"
 #include "tsp/chained_lk.hpp"
 #include "tsp/held_karp.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace lptsp;
 
@@ -44,13 +47,22 @@ int main() {
   }
   reduction.print("E9a — Theorem 2 reduction time (expect flat t/(nm))");
 
+  // Every `threads` value other than 1 runs on the one shared pool, so the
+  // sweep has two lanes: serial (1) and pool (0).
+  const auto lane = [](unsigned t) {
+    if (t == 1) return std::string("1");
+    std::string name = "pool(";
+    name += std::to_string(TaskPool::shared().size());
+    name += ')';
+    return name;
+  };
   Table threads({"kernel", "threads", "time[s]", "result"});
   {
     const Graph graph = lptsp::bench::workload_graph(600, 3, 9, 0.02);
-    for (const unsigned t : {1u, 2u, 4u}) {
+    for (const unsigned t : {1u, 0u}) {
       const Timer timer;
       const auto reduced = reduce_to_path_tsp(graph, PVec({2, 2, 1}), t);
-      threads.add_row({"apsp+reduce(n=600)", std::to_string(t), format_double(timer.seconds(), 3),
+      threads.add_row({"apsp+reduce(n=600)", lane(t), format_double(timer.seconds(), 3),
                        std::to_string(reduced.instance.max_weight())});
       if (t == 1) json.record("apsp_reduce_serial", 600, timer.seconds() * 1e9);
     }
@@ -58,12 +70,12 @@ int main() {
   {
     const Graph graph = lptsp::bench::workload_graph(18, 2, 4);
     const auto reduced = reduce_to_path_tsp(graph, PVec::L21());
-    for (const unsigned t : {1u, 2u, 4u}) {
+    for (const unsigned t : {1u, 0u}) {
       HeldKarpOptions options;
       options.threads = t;
       const Timer timer;
       const PathSolution solution = held_karp_path(reduced.instance, options);
-      threads.add_row({"held-karp(n=18)", std::to_string(t), format_double(timer.seconds(), 3),
+      threads.add_row({"held-karp(n=18)", lane(t), format_double(timer.seconds(), 3),
                        std::to_string(solution.cost)});
       if (t == 1) json.record("held_karp", 18, timer.seconds() * 1e9);
     }
@@ -71,7 +83,7 @@ int main() {
   {
     const Graph graph = lptsp::bench::workload_graph(150, 2, 5, 0.05);
     const auto reduced = reduce_to_path_tsp(graph, PVec::L21());
-    for (const unsigned t : {1u, 2u, 4u}) {
+    for (const unsigned t : {1u, 0u}) {
       ChainedLkOptions options;
       options.restarts = 4;
       options.kicks = 10;
@@ -79,12 +91,13 @@ int main() {
       options.threads = t;
       const Timer timer;
       const PathSolution solution = chained_lk_path(reduced.instance, options);
-      threads.add_row({"chained-lk(n=150)", std::to_string(t), format_double(timer.seconds(), 3),
+      threads.add_row({"chained-lk(n=150)", lane(t), format_double(timer.seconds(), 3),
                        std::to_string(solution.cost)});
       if (t == 1) json.record("chained_lk", 150, timer.seconds() * 1e9);
     }
   }
-  threads.print("E9b — thread sweep (identical results required; speedup needs multicore)");
+  threads.print(
+      "E9b — serial vs shared pool (identical results required; speedup needs multicore)");
 
   // Part C: diameter-2 inputs (the paper's target class). The bit-parallel
   // kernel answers dist(u,v) from one adjacency bit and a word-wise row

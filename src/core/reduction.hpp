@@ -19,8 +19,9 @@ struct ReducedInstance {
 ///   - G connected with diam(G) <= k (the dimension of p), and
 ///   - pmax <= 2 * pmin (which makes H metric).
 /// Under these conditions lambda_p(G) equals the optimal Hamiltonian-path
-/// weight of H. Runs in O(nm) (one BFS per vertex, parallelizable via
-/// `threads`) plus O(n^2) matrix fill.
+/// weight of H. Runs in O(nm) (one BFS per vertex) plus O(n^2) matrix
+/// fill; `threads` = 1 runs both serially, any other value on the shared
+/// pool.
 ReducedInstance reduce_to_path_tsp(const Graph& graph, const PVec& p, unsigned threads = 1);
 
 /// The same construction without the pmax <= 2*pmin check, for the
@@ -35,7 +36,7 @@ ReducedInstance reduce_to_path_tsp_unchecked(const Graph& graph, const PVec& p,
 /// matrices (the solve cache) use this to skip the O(nm) all-pairs BFS,
 /// the dominant reduction cost on dense small-diameter graphs. Requires
 /// all pairs finite and max distance <= k. The fill parallelizes over
-/// sources like the full reduction (`threads` = 0 shared pool, 1 serial).
+/// sources like the full reduction (`threads` = 1 serial, any other value the shared pool).
 MetricInstance instance_from_distances(const DistanceMatrix& dist, const PVec& p,
                                        unsigned threads = 1);
 

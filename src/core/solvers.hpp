@@ -53,7 +53,9 @@ std::string engine_name(Engine engine);
 /// Options for solve_labeling.
 struct SolveOptions {
   Engine engine = Engine::HeldKarp;
-  unsigned threads = 1;            ///< reduction BFS + parallel engines
+  /// Reduction BFS and parallel engines: 1 = serial, any other value =
+  /// the shared pool.
+  unsigned threads = 1;
   std::uint64_t seed = 1;          ///< randomized engines
   HeldKarpOptions held_karp = {};  ///< exact-engine caps
   ChainedLkOptions chained_lk = {};

@@ -61,8 +61,8 @@ std::vector<int> bfs_distances(const Graph& graph, int src);
 /// fallback kernel of all_pairs_distances for diameters above 2.
 std::vector<int> bfs_distances_frontier(const Graph& graph, int src);
 
-/// All-pairs shortest paths, parallelized across sources (`threads` = 0
-/// uses the shared pool, 1 forces serial). This is the O(nm) step of the
+/// All-pairs shortest paths, parallelized across sources (`threads` = 1
+/// runs serially, any other value uses the shared pool). This is the O(nm) step of the
 /// paper's Theorem-2 reduction, rebuilt around the paper's own target
 /// class: for each source the kernel first tries the diameter-<=2 fast
 /// path, deriving dist(u,v) in {1,2} from adjacency-row word intersections

@@ -71,7 +71,10 @@ BatchSolver::BatchSolver(const Options& options)
     }
     // Pre-trim and effort resume where the last process left off; restore()
     // caps the scores, so a heuristic-heavy record decays away.
-    if (const auto state = backend_->load_tuner_state()) tuner_.restore(*state);
+    if (auto state = backend_->load_tuner_state()) {
+      tuner_.restore(*state);
+      checkpointed_ = std::move(state);
+    }
   }
   register_metrics();
 }
@@ -127,7 +130,13 @@ BatchSolver::~BatchSolver() {
 void BatchSolver::checkpoint_tuner() {
   // A disabled tuner holds defaults, not what an earlier run learned.
   if (backend_ == nullptr || !tuner_.enabled()) return;
-  backend_->put_tuner_state(tuner_.snapshot());
+  // Snapshot under the lock, so racing checkpoints never write an older
+  // state over a newer one. An unchanged state appends nothing; a refused
+  // or failed write leaves checkpointed_ as it was, so the next call retries.
+  const std::lock_guard lock(checkpoint_mutex_);
+  TunerState state = tuner_.snapshot();
+  if (state == checkpointed_) return;
+  if (backend_->put_tuner_state(state)) checkpointed_ = std::move(state);
 }
 
 BatchSolver::CanonicalOutcome BatchSolver::solve_canonical(

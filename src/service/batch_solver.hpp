@@ -7,6 +7,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -215,9 +216,10 @@ class BatchSolver {
   }
 
   /// Persist the tuner's learned state now (also done on destruction).
-  /// Safe to call while traffic is in flight; no-op without a store or
-  /// while the tuner is disabled, so a --no-learn run never overwrites
-  /// what an earlier run learned.
+  /// Safe to call while traffic is in flight; no-op without a store,
+  /// while the tuner is disabled (so a --no-learn run never overwrites
+  /// what an earlier run learned), or when the state equals the one last
+  /// written or restored.
   void checkpoint_tuner();
 
  private:
@@ -281,6 +283,9 @@ class BatchSolver {
   obs::TraceRing traces_;
   SolveCache cache_;
   std::shared_ptr<PersistentBackend> backend_;  ///< shared with cache_
+  /// The tuner state last written to or restored from backend_.
+  std::mutex checkpoint_mutex_;
+  std::optional<TunerState> checkpointed_;  ///< guarded by checkpoint_mutex_
   SolveCache::WarmStats warm_stats_;
   // Declared before the pools and the portfolio: races finishing during
   // teardown still report into the tuner, so it must be destroyed after

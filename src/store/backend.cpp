@@ -122,14 +122,16 @@ std::uint64_t PersistentBackend::for_each_result(
   return undecodable;
 }
 
-void PersistentBackend::put_tuner_state(const TunerState& state) {
-  if (!allow_write()) return;
+bool PersistentBackend::put_tuner_state(const TunerState& state) {
+  if (!allow_write()) return false;
   const std::uint64_t begin_ns = obs::steady_now_ns();
   std::vector<std::uint8_t> value;
   encode_tuner_state(value, state);
-  note_write(kv_->put(kMetaNamespace, kTunerStateKey,
-                      std::string(reinterpret_cast<const char*>(value.data()), value.size())));
+  const bool ok = kv_->put(kMetaNamespace, kTunerStateKey,
+                           std::string(reinterpret_cast<const char*>(value.data()), value.size()));
+  note_write(ok);
   append_ns_.record(obs::steady_now_ns() - begin_ns);
+  return ok;
 }
 
 void PersistentBackend::register_metrics(obs::MetricRegistry& registry, const void* owner) const {

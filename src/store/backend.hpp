@@ -78,7 +78,9 @@ class PersistentBackend {
   std::uint64_t for_each_result(
       const std::function<void(const std::string& key, PersistedResult&& record)>& fn) const;
 
-  void put_tuner_state(const TunerState& state);
+  /// Persist the tuner state; false when the degradation ladder skipped
+  /// the write or the KV put failed, so the caller can retry later.
+  [[nodiscard]] bool put_tuner_state(const TunerState& state);
   /// The last persisted tuner state; nullopt when none is stored or the
   /// record does not decode (a fresh tuner is the safe fallback).
   [[nodiscard]] std::optional<TunerState> load_tuner_state() const;

@@ -13,7 +13,7 @@ struct ChainedLkOptions {
   int restarts = 3;       ///< independent multi-starts (parallelizable)
   int kicks = 40;         ///< double-bridge perturbations per restart
   std::uint64_t seed = 1; ///< master seed; restarts derive child streams
-  unsigned threads = 1;   ///< 0 = shared pool, 1 = serial
+  unsigned threads = 1;   ///< 1 = serial; any other value = the shared pool
   /// Cooperative cancellation for deadline-racing callers: when non-null
   /// and set, each restart stops kicking and the best tour found so far is
   /// returned. The first local optimization of each restart always runs,

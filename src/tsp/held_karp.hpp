@@ -9,7 +9,8 @@ namespace lptsp {
 
 /// Options for the Held–Karp dynamic program.
 struct HeldKarpOptions {
-  /// Worker threads for the subset layers (0 = shared pool, 1 = serial).
+  /// Subset layers: 1 = serial; any other value = the shared pool
+  /// (TaskPool::shared(), hardware-sized whatever the value).
   unsigned threads = 1;
   /// Fix the path's first vertex (-1 = free). Free endpoints solve the
   /// paper's Path TSP; a fixed start is exposed for tests and for callers

@@ -1,103 +1,62 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace lptsp {
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
+namespace {
 
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock(mutex_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
+/// State of one parallel_for call, shared by the caller and its helper
+/// tasks. A helper that starts after the range is used up claims no block,
+/// so it never touches `fn`, which lives only as long as the caller waits.
+struct Loop {
+  Loop(std::size_t count_in, std::size_t block_size_in,
+       const std::function<void(std::size_t)>& fn_in)
+      : count(count_in),
+        block_size(block_size_in),
+        blocks((count_in + block_size_in - 1) / block_size_in),
+        fn(&fn_in) {}
 
-void ThreadPool::worker_loop() {
-  std::uint64_t seen_generation = 0;
-  while (true) {
-    std::unique_lock lock(mutex_);
-    work_ready_.wait(lock, [&] { return stopping_ || (job_ != nullptr && generation_ != seen_generation); });
-    if (stopping_) return;
-    seen_generation = generation_;
-    ++active_workers_;
-    const auto* job = job_;
+  /// Claim and run blocks until none is left.
+  void run_blocks() {
     while (true) {
-      const std::size_t begin = next_block_;
-      if (begin >= job_count_) break;
-      const std::size_t end = std::min(job_count_, begin + block_size_);
-      next_block_ = end;
-      lock.unlock();
+      const std::size_t block = next_block.fetch_add(1);
+      if (block >= blocks) return;
+      const std::size_t begin = block * block_size;
+      const std::size_t end = std::min(count, begin + block_size);
+      std::exception_ptr error;
       try {
-        (*job)(begin, end);
+        for (std::size_t i = begin; i < end; ++i) (*fn)(i);
       } catch (...) {
-        lock.lock();
-        if (!first_error_) first_error_ = std::current_exception();
-        continue;
+        error = std::current_exception();
       }
-      lock.lock();
+      const std::lock_guard lock(mutex);
+      if (error && !first_error) first_error = std::move(error);
+      if (++finished_blocks == blocks) all_finished.notify_all();
     }
-    --active_workers_;
-    if (active_workers_ == 0 && next_block_ >= job_count_) work_done_.notify_all();
   }
-}
 
-void ThreadPool::parallel_blocks(std::size_t count,
-                                 const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (count == 0) return;
-  if (workers_.size() <= 1) {
-    fn(0, count);
-    return;
-  }
-  std::unique_lock lock(mutex_);
-  if (job_ != nullptr) {
-    // Another region owns the pool; overwriting job_ would hand its
-    // workers this region's indices.
-    lock.unlock();
-    fn(0, count);
-    return;
-  }
-  job_ = &fn;
-  job_count_ = count;
-  next_block_ = 0;
-  // Aim for ~4 blocks per worker so stragglers get rebalanced without
-  // drowning small loops in scheduling overhead.
-  block_size_ = std::max<std::size_t>(1, count / (workers_.size() * 4));
-  first_error_ = nullptr;
-  ++generation_;
-  work_ready_.notify_all();
-  work_done_.wait(lock, [&] { return active_workers_ == 0 && next_block_ >= job_count_; });
-  job_ = nullptr;
-  if (first_error_) std::rethrow_exception(first_error_);
-}
+  const std::size_t count;
+  const std::size_t block_size;
+  const std::size_t blocks;
+  const std::function<void(std::size_t)>* const fn;
+  std::atomic<std::size_t> next_block{0};
+  std::mutex mutex;
+  std::condition_variable all_finished;
+  std::size_t finished_blocks = 0;  ///< guarded by mutex
+  std::exception_ptr first_error;   ///< guarded by mutex
+};
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_blocks(count, [&fn](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool;
-  return pool;
-}
+}  // namespace
 
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
                   unsigned threads) {
-  if (threads == 1 || ThreadPool::shared().size() == 1) {
+  if (threads == 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  ThreadPool::shared().parallel_for(count, fn);
+  TaskPool::shared().parallel_for(count, fn);
 }
 
 TaskPool::TaskPool(unsigned threads) {
@@ -141,13 +100,30 @@ void TaskPool::worker_loop() {
       queue_.pop_front();
       ++in_flight_;
     }
-    task();  // packaged_task captures exceptions into the future
+    task();  // submit()'s packaged_task and parallel_for's helpers never throw
     {
       std::lock_guard lock(mutex_);
       --in_flight_;
       if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
     }
   }
+}
+
+void TaskPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
+  if (count == 0) return;
+  // Aim for ~4 blocks per worker so stragglers get rebalanced without
+  // drowning small loops in scheduling overhead.
+  const std::size_t block_size = std::max<std::size_t>(1, count / (size() * 4));
+  auto loop = std::make_shared<Loop>(count, block_size, fn);
+  // With the caller that makes at most size() threads on the loop.
+  const std::size_t helpers = std::min<std::size_t>(size() - 1, loop->blocks - 1);
+  for (std::size_t h = 0; h < helpers; ++h) enqueue([loop] { loop->run_blocks(); });
+  loop->run_blocks();
+  // Every block is claimed now, so this waits only on blocks that running
+  // threads are executing, never on a helper still in the queue.
+  std::unique_lock lock(loop->mutex);
+  loop->all_finished.wait(lock, [&] { return loop->finished_blocks == loop->blocks; });
+  if (loop->first_error) std::rethrow_exception(loop->first_error);
 }
 
 TaskPool& TaskPool::shared() {

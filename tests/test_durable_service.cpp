@@ -16,6 +16,7 @@
 #include "graph/operations.hpp"
 #include "service/batch_solver.hpp"
 #include "store/backend.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace lptsp {
@@ -237,6 +238,68 @@ TEST(DurableService, CheckpointTunerWhileRequestsRace) {
   checkpointer.request_stop();
   checkpointer.join();
 
+  solver.checkpoint_tuner();
+  EXPECT_EQ(solver.store()->load_tuner_state(), solver.tuner().snapshot());
+  std::remove(path.c_str());
+}
+
+std::uint64_t store_records(const std::string& path) {
+  PersistentBackend::Options options;
+  options.path = path;
+  std::string error;
+  const auto backend = PersistentBackend::open(options, error);
+  EXPECT_NE(backend, nullptr) << error;
+  return backend == nullptr ? 0 : backend->kv().stats().total_records;
+}
+
+/// A checkpoint appends a tuner-state record only when the tuner learned
+/// something since the last one; shutdown adds none after that.
+TEST(DurableService, CheckpointAppendsOnlyWhenTheTunerChanged) {
+  const std::string path = temp_store("checkpoint_dedup");
+  std::remove(path.c_str());
+  BatchSolver::Options options = durable_options(path);
+  options.use_cache = false;  // no result records, and every request races
+  {
+    BatchSolver solver(options);
+    const auto records = [&solver] { return solver.store()->kv().stats().total_records; };
+    solver.checkpoint_tuner();
+    solver.checkpoint_tuner();
+    EXPECT_EQ(records(), 1u);
+    ASSERT_TRUE(solver.solve_one(request_for(make_graphs(1, 71)[0])).ok());
+    solver.checkpoint_tuner();
+    EXPECT_EQ(records(), 2u);
+  }
+  EXPECT_EQ(store_records(path), 2u);
+  std::remove(path.c_str());
+}
+
+/// Restarts that serve nothing leave the one record the first run wrote.
+TEST(DurableService, IdleRestartsLeaveOneTunerRecord) {
+  const std::string path = temp_store("idle_restarts");
+  std::remove(path.c_str());
+  for (int cycle = 0; cycle < 2; ++cycle) BatchSolver solver(durable_options(path));
+  EXPECT_EQ(store_records(path), 1u);
+  std::remove(path.c_str());
+}
+
+/// A checkpoint the degraded store refused is not remembered as written:
+/// once the store heals, the next checkpoint writes the state it missed.
+TEST(DurableService, RefusedCheckpointIsRetriedAfterTheStoreHeals) {
+  const std::string path = temp_store("checkpoint_retry");
+  std::remove(path.c_str());
+  BatchSolver::Options options = durable_options(path);
+  options.use_cache = false;
+  options.store_degraded_after_failures = 1;
+  options.store_reopen_probe_interval = std::chrono::hours(24 * 365 * 100);  // heal by hand only
+  BatchSolver solver(options);
+  fault::arm(FaultSite::StoreAppend, 1.0, 1, /*max_fires=*/1);
+  solver.checkpoint_tuner();  // the append fails and the store turns read-only
+  fault::disarm_all();
+  ASSERT_TRUE(solver.store()->degraded());
+  ASSERT_TRUE(solver.solve_one(request_for(make_graphs(1, 73)[0])).ok());
+  solver.checkpoint_tuner();  // refused while degraded
+  EXPECT_NE(solver.store()->load_tuner_state(), solver.tuner().snapshot());
+  ASSERT_TRUE(solver.store()->probe_reopen());
   solver.checkpoint_tuner();
   EXPECT_EQ(solver.store()->load_tuner_state(), solver.tuner().snapshot());
   std::remove(path.c_str());

@@ -237,7 +237,7 @@ TEST(TunerService, RestartOverPoisonedTunerStateStillRunsExactEngine) {
     // engine — the poison that used to trip the frozen skip rule.
     TunerState poisoned;
     poisoned[static_cast<std::size_t>(obs::size_bucket(12))].heuristic_score = 1'000;
-    backend->put_tuner_state(poisoned);
+    ASSERT_TRUE(backend->put_tuner_state(poisoned));
   }
 
   BatchSolver::Options options;

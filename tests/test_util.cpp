@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <future>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -119,20 +122,20 @@ TEST(Timer, ResetRestartsClock) {
   EXPECT_LT(timer.seconds(), 1.0);
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
+TEST(TaskPool, ParallelForCoversAllIndices) {
+  TaskPool pool(4);
   std::vector<std::atomic<int>> hits(257);
   pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
-  ThreadPool pool(2);
+TEST(TaskPool, ParallelForEmptyRangeIsNoop) {
+  TaskPool pool(2);
   pool.parallel_for(0, [&](std::size_t) { FAIL() << "must not be called"; });
 }
 
-TEST(ThreadPool, ReusableAcrossRegions) {
-  ThreadPool pool(3);
+TEST(TaskPool, ReusableAcrossRegions) {
+  TaskPool pool(3);
   for (int round = 0; round < 5; ++round) {
     std::atomic<int> sum{0};
     pool.parallel_for(100, [&](std::size_t i) { sum.fetch_add(static_cast<int>(i)); });
@@ -140,8 +143,8 @@ TEST(ThreadPool, ReusableAcrossRegions) {
   }
 }
 
-TEST(ThreadPool, ExceptionPropagatesToCaller) {
-  ThreadPool pool(2);
+TEST(TaskPool, ExceptionPropagatesToCaller) {
+  TaskPool pool(2);
   EXPECT_THROW(pool.parallel_for(16,
                                  [&](std::size_t i) {
                                    if (i == 7) throw std::runtime_error("boom");
@@ -149,19 +152,10 @@ TEST(ThreadPool, ExceptionPropagatesToCaller) {
                std::runtime_error);
 }
 
-TEST(ThreadPool, ParallelBlocksCoversRangeOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_blocks(hits.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
-}
-
-TEST(ThreadPool, ConcurrentCallersEachCoverTheirOwnRangeOnce) {
+TEST(TaskPool, ConcurrentCallersEachCoverTheirOwnRangeOnce) {
   // Four threads share one pool, each looping over a range of a different
   // length. A region must never run another caller's body on its indices.
-  ThreadPool pool(4);
+  TaskPool pool(4);
   constexpr int kCallers = 4;
   constexpr int kRounds = 200;
   std::vector<std::vector<std::atomic<int>>> hits;
@@ -183,13 +177,75 @@ TEST(ThreadPool, ConcurrentCallersEachCoverTheirOwnRangeOnce) {
   }
 }
 
-TEST(ThreadPool, NestedRegionRunsInline) {
-  ThreadPool pool(4);
+TEST(TaskPool, NestedRegionCoversEveryIndexOnce) {
+  TaskPool pool(4);
   std::vector<std::atomic<int>> hits(16 * 32);
   pool.parallel_for(16, [&](std::size_t outer) {
     pool.parallel_for(32, [&](std::size_t inner) { hits[outer * 32 + inner].fetch_add(1); });
   });
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
+TEST(TaskPool, ParallelForCompletesWhileEveryWorkerIsBusy) {
+  // Every worker is parked, so the caller runs the whole range itself and
+  // returns with its helpers still queued. Once released they find the
+  // range used up; ASan would flag them touching the destroyed body.
+  TaskPool pool(4);
+  std::latch parked(pool.size());
+  std::latch release(1);
+  std::vector<std::future<void>> parkers;
+  for (unsigned w = 0; w < pool.size(); ++w) {
+    parkers.push_back(pool.submit([&] {
+      parked.count_down();
+      release.wait();
+    }));
+  }
+  parked.wait();
+  std::vector<std::atomic<int>> hits(1000);
+  {
+    const std::function<void(std::size_t)> body = [&hits](std::size_t i) { hits[i].fetch_add(1); };
+    pool.parallel_for(hits.size(), body);
+  }
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+  release.count_down();
+  for (auto& parker : parkers) parker.get();
+  pool.drain();
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
+TEST(TaskPool, ParallelForFromInsideEveryTask) {
+  // Every worker runs a task that loops on the same pool; none may wait on
+  // a helper that can only run once some task finishes.
+  TaskPool pool(4);
+  std::vector<std::vector<std::atomic<int>>> hits;
+  for (unsigned task = 0; task < pool.size(); ++task) hits.emplace_back(300);
+  std::vector<std::future<void>> done;
+  for (unsigned task = 0; task < pool.size(); ++task) {
+    done.push_back(pool.submit([&pool, &mine = hits[task]] {
+      pool.parallel_for(mine.size(), [&mine](std::size_t i) { mine[i].fetch_add(1); });
+    }));
+  }
+  for (auto& future : done) future.get();
+  for (const auto& mine : hits) {
+    for (const auto& hit : mine) EXPECT_EQ(hit.load(), 1);
+  }
+}
+
+TEST(ParallelForHelper, OneThreadRunsInOrderOnTheCaller) {
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> runners;
+  parallel_for(
+      50,
+      [&](std::size_t i) {
+        order.push_back(i);
+        runners.push_back(std::this_thread::get_id());
+      },
+      1);
+  ASSERT_EQ(order.size(), 50u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(runners[i], std::this_thread::get_id());
+  }
 }
 
 TEST(ParallelForHelper, SerialModeMatchesParallel) {

@@ -306,8 +306,9 @@ int main(int argc, char** argv) {
 
   std::printf("lptspd: shutting down\n");
   server.stop();
-  // Final snapshot + checkpoint after the server stops, so the file and
-  // tuner state reflect every request that was served.
+  // Final snapshots after the server stops, so the files reflect every
+  // request that was served. The solver's destructor drains its requests
+  // and then checkpoints the tuner.
   if (!stats_json.empty()) {
     write_snapshot_file(stats_json, solver.metrics_registry().snapshot().to_json());
   }
@@ -317,6 +318,5 @@ int main(int argc, char** argv) {
   if (!profile_json.empty()) {
     write_snapshot_file(profile_json, solver.profile_json());
   }
-  solver.checkpoint_tuner();
   return 0;
 }

@@ -45,16 +45,6 @@ SolveResponse failure_response(std::uint64_t id, SolveStatus status, std::string
   return response;
 }
 
-ClientOptions legacy_options(const WireLimits& limits) {
-  ClientOptions options;
-  options.wire = limits;
-  // The WireLimits constructor is the pre-deadline API: pure blocking
-  // behaviour, exactly as before timeouts existed.
-  options.connect_timeout = std::chrono::milliseconds{0};
-  options.request_timeout = std::chrono::milliseconds{0};
-  return options;
-}
-
 std::uint64_t splitmix64_step(std::uint64_t& state) {
   state += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = state;
@@ -64,9 +54,6 @@ std::uint64_t splitmix64_step(std::uint64_t& state) {
 }
 
 }  // namespace
-
-LabelingClient::LabelingClient(const WireLimits& limits)
-    : LabelingClient(legacy_options(limits)) {}
 
 LabelingClient::LabelingClient(const ClientOptions& options)
     : options_(options),
@@ -593,7 +580,7 @@ LabelingClient::ReadOutcome LabelingClient::try_read_message(WireMessage& out,
 WireMessage LabelingClient::read_message() {
   WireMessage message;
   std::string detail;
-  // No deadline: this path blocks (the legacy contract) and throws on
+  // No deadline: this path blocks (solve, wait, next) and throws on
   // transport loss; TimedOut is unreachable without a deadline.
   const ReadOutcome outcome = try_read_message(message, Deadline{}, detail);
   if (outcome != ReadOutcome::Ok) transport_error(detail);

@@ -26,16 +26,17 @@ struct ClientRetryPolicy {
   double jitter = 0.2;
 };
 
-/// Full client configuration; the legacy WireLimits constructor maps to
-/// this with timeouts disabled (pure blocking behaviour, as before).
+/// Client configuration. The defaults block: both timeouts are 0, so a
+/// default-constructed client never gives up on a connect or a request —
+/// callers that must not hang on a dead daemon set both budgets.
 struct ClientOptions {
   WireLimits wire;
   /// TCP connect + handshake budget. 0 = block indefinitely.
-  std::chrono::milliseconds connect_timeout{5000};
-  /// End-to-end budget for solve_retry(), spanning every attempt, backoff
-  /// sleep, and reconnect. 0 = no deadline (retries still capped by
-  /// ClientRetryPolicy::max_attempts).
-  std::chrono::milliseconds request_timeout{5000};
+  std::chrono::milliseconds connect_timeout{0};
+  /// End-to-end budget for solve_retry() and stats scrapes, spanning every
+  /// attempt, backoff sleep, and reconnect. 0 = no deadline (retries still
+  /// capped by ClientRetryPolicy::max_attempts).
+  std::chrono::milliseconds request_timeout{0};
   ClientRetryPolicy retry;
   /// Seed for the backoff jitter stream (deterministic for tests).
   std::uint64_t jitter_seed = 0x6c707473ULL;
@@ -61,10 +62,12 @@ struct ClientOptions {
 /// Service-level outcomes (including RejectedOverload backpressure) are
 /// ordinary SolveResponse values. Transport and protocol failures — broken
 /// connection, handshake mismatch, an Error frame from the server — throw
-/// std::runtime_error from the legacy blocking calls: once framing is in
-/// doubt there is no response stream left to return typed values on.
+/// std::runtime_error from the blocking calls (solve, wait, next): once
+/// framing is in doubt there is no response stream left to return typed
+/// values on.
 ///
-/// The deadline-aware calls never block forever and never throw for
+/// Given a budget (wait_for's timeout, ClientOptions::request_timeout),
+/// the deadline-aware calls never block forever, and they never throw for
 /// transport loss: wait_for() returns a typed SolveStatus::TimedOut or
 /// SolveStatus::TransportDisconnected response, and solve_retry() wraps
 /// submit + wait_for in reconnect + capped exponential backoff with jitter
@@ -72,8 +75,7 @@ struct ClientOptions {
 /// retry-after hint on RejectedOverload.
 class LabelingClient {
  public:
-  explicit LabelingClient(const WireLimits& limits = {});
-  explicit LabelingClient(const ClientOptions& options);
+  explicit LabelingClient(const ClientOptions& options = {});
   ~LabelingClient();
 
   LabelingClient(const LabelingClient&) = delete;
@@ -109,7 +111,7 @@ class LabelingClient {
   /// closed; reconnect() restores it). timeout <= 0 waits forever.
   SolveResponse wait_for(std::uint64_t id, std::chrono::milliseconds timeout);
 
-  /// submit + wait in one call (blocking, throwing — the legacy path).
+  /// submit + wait in one call (blocking, throwing).
   SolveResponse solve(const SolveRequest& request);
 
   /// submit + wait_for with reconnect and capped exponential backoff with

@@ -139,9 +139,15 @@ void BatchSolver::checkpoint_tuner() {
   if (backend_->put_tuner_state(state)) checkpointed_ = std::move(state);
 }
 
+std::int64_t BatchSolver::race_budget_ms(const SolveRequest& request) const noexcept {
+  if (request.engine.has_value()) return 0;
+  return request.deadline.count() > 0 ? request.deadline.count()
+                                      : options_.portfolio.deadline.count();
+}
+
 BatchSolver::CanonicalOutcome BatchSolver::solve_canonical(
     const Graph& graph, const CanonicalForm& form, const PVec& p,
-    const std::optional<Engine>& engine, std::chrono::milliseconds deadline, obs::Trace* trace) {
+    const std::optional<Engine>& engine, std::int64_t budget_ms, obs::Trace* trace) {
   CanonicalOutcome out;
   if (graph.n() == 0) {
     out.status = SolveStatus::EmptyGraph;
@@ -153,12 +159,6 @@ BatchSolver::CanonicalOutcome BatchSolver::solve_canonical(
   // relabelings of THIS graph but not cross-request invariants, so they
   // must never touch the shared cache.
   const bool cacheable = options_.use_cache && form.exact;
-  // This request's race budget in ms; 0 = unlimited. Pinned engines run to
-  // completion regardless of deadline, so they always count as unlimited.
-  const std::int64_t budget_ms =
-      engine.has_value() ? 0
-                         : (deadline.count() > 0 ? deadline.count()
-                                                 : options_.portfolio.deadline.count());
   std::string rkey;
   if (cacheable) {
     rkey = result_key(form, p);
@@ -237,10 +237,8 @@ BatchSolver::CanonicalOutcome BatchSolver::solve_canonical(
       return out;
     }
   } else {
-    const std::optional<std::chrono::milliseconds> race_deadline =
-        deadline.count() > 0 ? std::optional(deadline) : std::nullopt;
     const std::uint64_t race_begin = trace != nullptr ? obs::steady_now_ns() : 0;
-    PortfolioOutcome raced = portfolio_.race(instance, race_deadline);
+    PortfolioOutcome raced = portfolio_.race(instance, std::chrono::milliseconds{budget_ms});
     if (options_.profile) {
       // race() times itself unconditionally, so attribution adds no clock
       // reads — one shard-mutex touch for the key table, relaxed adds and
@@ -322,9 +320,9 @@ BatchSolver::CanonicalOutcome BatchSolver::solve_canonical(
 
 BatchSolver::CanonicalOutcome BatchSolver::solve_canonical_coalesced(
     const Graph& graph, const CanonicalForm& form, const PVec& p,
-    const std::optional<Engine>& engine, std::chrono::milliseconds deadline, obs::Trace* trace) {
+    const std::optional<Engine>& engine, std::int64_t budget_ms, obs::Trace* trace) {
   const bool cacheable = options_.use_cache && form.exact;
-  if (!cacheable) return solve_canonical(graph, form, p, engine, deadline, trace);
+  if (!cacheable) return solve_canonical(graph, form, p, engine, budget_ms, trace);
 
   // Pinned-engine requests only coalesce with requests pinning the same
   // engine (a portfolio answer is not a substitute for "run Held-Karp"),
@@ -333,10 +331,7 @@ BatchSolver::CanonicalOutcome BatchSolver::solve_canonical_coalesced(
   std::string key = result_key(form, p);
   append_engine_tag(key, engine);
   key.push_back('D');
-  key += std::to_string(engine.has_value()
-                            ? 0
-                            : (deadline.count() > 0 ? deadline.count()
-                                                    : options_.portfolio.deadline.count()));
+  key += std::to_string(budget_ms);
 
   std::promise<CanonicalOutcome> promise;
   std::shared_future<CanonicalOutcome> shared;
@@ -365,7 +360,7 @@ BatchSolver::CanonicalOutcome BatchSolver::solve_canonical_coalesced(
 
   CanonicalOutcome out;
   try {
-    out = solve_canonical(graph, form, p, engine, deadline, trace);
+    out = solve_canonical(graph, form, p, engine, budget_ms, trace);
   } catch (...) {
     promise.set_exception(std::current_exception());
     const std::lock_guard lock(inflight_mutex_);
@@ -440,8 +435,8 @@ SolveResponse BatchSolver::solve_one_timed(const SolveRequest& request,
     const obs::SpanScope span(tp, obs::Stage::Canonicalize);
     form = canonical_form(request.graph, options_.canonical);
   }
-  const CanonicalOutcome outcome = solve_canonical_coalesced(request.graph, form, request.p,
-                                                             request.engine, request.deadline, tp);
+  const CanonicalOutcome outcome = solve_canonical_coalesced(
+      request.graph, form, request.p, request.engine, race_budget_ms(request), tp);
   SolveResponse response =
       respond(request, form, outcome, ResponseSource::Solved, timer.seconds());
   if (tp != nullptr) {
@@ -507,10 +502,8 @@ bool BatchSolver::admit(const SolveRequest& request, std::uint64_t& admitted_wor
   // unknown this early (canonicalization happens on a worker), so the
   // prediction is per-size, not per-key — the hot-key table still feeds
   // it through the tuner's bucket aggregation.
-  const std::int64_t budget_ms = request.deadline.count() > 0
-                                     ? request.deadline.count()
-                                     : options_.portfolio.deadline.count();
-  const std::uint64_t predicted = tuner_.predicted_work_ns(request.graph.n(), budget_ms);
+  const std::uint64_t predicted =
+      tuner_.predicted_work_ns(request.graph.n(), race_budget_ms(request));
   if (options_.max_pending_work_ns != 0) {
     const std::uint64_t pending = pending_work_ns_.load(std::memory_order_relaxed);
     // An empty queue always admits: one request can never be priced out
@@ -695,23 +688,19 @@ std::vector<SolveResponse> BatchSolver::solve_batch(const std::vector<SolveReque
         }
       }
       // The group shares one solve; give it the most generous budget any
-      // member asked for. A member on the service default counts as the
-      // default's budget (or unlimited when that is 0), never less than an
-      // explicit long deadline another member brought.
-      std::chrono::milliseconds deadline{0};
-      bool any_default = false;
+      // member resolves to: unlimited (0) if any member's is, else the max.
+      std::int64_t budget_ms = 0;
       for (const std::size_t m : group.members) {
-        if (requests[m].deadline.count() <= 0) any_default = true;
-        deadline = std::max(deadline, requests[m].deadline);
-      }
-      if (any_default) {
-        const std::chrono::milliseconds service_default = options_.portfolio.deadline;
-        deadline = service_default.count() == 0 ? std::chrono::milliseconds{0}
-                                                : std::max(deadline, service_default);
+        const std::int64_t member = race_budget_ms(requests[m]);
+        if (member == 0) {
+          budget_ms = 0;
+          break;
+        }
+        budget_ms = std::max(budget_ms, member);
       }
       const CanonicalOutcome outcome = solve_canonical_coalesced(
           requests[leader].graph, forms[leader], requests[leader].p, requests[leader].engine,
-          deadline, tp);
+          budget_ms, tp);
       const double seconds = timer.seconds();
       for (const std::size_t m : group.members) {
         responses[m] = respond(requests[m], forms[m], outcome,

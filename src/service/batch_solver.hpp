@@ -234,13 +234,17 @@ class BatchSolver {
     bool coalesced = false;  ///< joined an identical in-flight solve
   };
 
+  /// The request's race budget in ms, 0 = unlimited: a pinned engine runs
+  /// to completion, otherwise the request's deadline when set, else the
+  /// service default. Every budget decision (admission price, coalescing
+  /// key, race, SLO record, cached deadline_ms) reads this one value.
+  [[nodiscard]] std::int64_t race_budget_ms(const SolveRequest& request) const noexcept;
   CanonicalOutcome solve_canonical(const Graph& graph, const CanonicalForm& form, const PVec& p,
-                                   const std::optional<Engine>& engine,
-                                   std::chrono::milliseconds deadline, obs::Trace* trace);
+                                   const std::optional<Engine>& engine, std::int64_t budget_ms,
+                                   obs::Trace* trace);
   CanonicalOutcome solve_canonical_coalesced(const Graph& graph, const CanonicalForm& form,
                                              const PVec& p, const std::optional<Engine>& engine,
-                                             std::chrono::milliseconds deadline,
-                                             obs::Trace* trace);
+                                             std::int64_t budget_ms, obs::Trace* trace);
   SolveResponse respond(const SolveRequest& request, const CanonicalForm& form,
                         const CanonicalOutcome& outcome, ResponseSource fallback_source,
                         double seconds) const;

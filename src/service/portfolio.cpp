@@ -23,6 +23,10 @@ struct Run {
   PathSolution solution;
 };
 
+bool is_exact(Engine engine) noexcept {
+  return engine == Engine::HeldKarp || engine == Engine::BranchBound;
+}
+
 }  // namespace
 
 EnginePortfolio::EnginePortfolio(TaskPool& pool, const PortfolioOptions& options)
@@ -98,50 +102,62 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
     run_exact = tuner_->admit_exact(bucket);
   }
 
+  // The one attempt runner: it times the engine, forfeits it on a
+  // precondition error (BranchBound's node limit), and cancels the rival
+  // from this attempt's own task when the attempt certifies an optimum —
+  // ties go to the optimal attempt, so the heuristic can no longer win —
+  // or throws, since the race then rethrows anyway.
   std::atomic<bool> cancel{false};
   std::vector<std::future<Run>> futures;
-
-  if (run_exact) {
-    futures.push_back(pool_.submit([this, &instance, &cancel, exact_engine, effort]() -> Run {
+  const auto launch = [this, &cancel, &futures](Engine engine, auto body) {
+    futures.push_back(pool_.submit([&cancel, engine, body]() -> Run {
       const Timer attempt_timer;
       Run run;
-      run.attempt.engine = exact_engine;
+      run.attempt.engine = engine;
       run.solution.cost = -1;
       try {
-        if (exact_engine == Engine::HeldKarp) {
-          HeldKarpOptions hk;
-          hk.cancel = &cancel;
-          HeldKarpRun result = held_karp_path_run(instance, hk);
-          run.solution = std::move(result.solution);
-          run.attempt.finished = result.completed;
-          run.attempt.work.hk_layers = result.layers;
-          run.attempt.work.hk_cells = result.cells;
-        } else {
-          BranchBoundOptions bb;
-          // Effort-scaled search cap, floored so a harshly down-tuned
-          // bucket still explores enough nodes to beat a greedy tour.
-          bb.node_limit =
-              std::max<long long>(100'000, options_.bb_node_limit * effort.percent / 100);
-          bb.cancel = &cancel;
-          BranchBoundRun result = branch_bound_path_run(instance, bb);
-          run.solution = std::move(result.solution);
-          run.attempt.finished = result.completed;
-          run.attempt.work.bb_nodes = static_cast<std::uint64_t>(result.nodes);
-          run.attempt.work.bb_pruned = static_cast<std::uint64_t>(result.pruned);
-        }
+        body(run);
       } catch (const precondition_error&) {
-        // Node limit exceeded: the search forfeits this race.
         run.solution.cost = -1;
+      } catch (...) {
+        cancel.store(true, std::memory_order_relaxed);
+        throw;
       }
       run.attempt.seconds = attempt_timer.seconds();
+      if (is_exact(engine) && run.attempt.finished && run.solution.cost >= 0) {
+        cancel.store(true, std::memory_order_relaxed);
+      }
       return run;
     }));
+  };
+
+  if (run_exact) {
+    launch(exact_engine, [this, &instance, &cancel, exact_engine, effort](Run& run) {
+      if (exact_engine == Engine::HeldKarp) {
+        HeldKarpOptions hk;
+        hk.cancel = &cancel;
+        HeldKarpRun result = held_karp_path_run(instance, hk);
+        run.solution = std::move(result.solution);
+        run.attempt.finished = result.completed;
+        run.attempt.work.hk_layers = result.layers;
+        run.attempt.work.hk_cells = result.cells;
+      } else {
+        BranchBoundOptions bb;
+        // Effort-scaled search cap, floored so a harshly down-tuned
+        // bucket still explores enough nodes to beat a greedy tour.
+        bb.node_limit =
+            std::max<long long>(100'000, options_.bb_node_limit * effort.percent / 100);
+        bb.cancel = &cancel;
+        BranchBoundRun result = branch_bound_path_run(instance, bb);
+        run.solution = std::move(result.solution);
+        run.attempt.finished = result.completed;
+        run.attempt.work.bb_nodes = static_cast<std::uint64_t>(result.nodes);
+        run.attempt.work.bb_pruned = static_cast<std::uint64_t>(result.pruned);
+      }
+    });
   }
 
-  futures.push_back(pool_.submit([this, &instance, &cancel, n, effort]() -> Run {
-    const Timer attempt_timer;
-    Run run;
-    run.attempt.engine = Engine::ChainedLK;
+  launch(Engine::ChainedLK, [this, &instance, &cancel, n, effort](Run& run) {
     ChainedLkOptions lk;
     lk.seed = options_.seed;
     lk.cancel = &cancel;
@@ -157,77 +173,54 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
     run.attempt.work.lk_accepted = result.accepted;
     run.attempt.work.lk_wakes = result.wakes;
     run.attempt.work.lk_moves = result.moves;
-    run.attempt.seconds = attempt_timer.seconds();
-    return run;
-  }));
+  });
 
-  // Join phase. Every future must be joined even when one throws
+  // One join pass: wait for every attempt until the deadline, cancel what
+  // still runs, join. Every future must be joined even when one throws
   // (invariant errors, bad_alloc): the tasks reference this frame's
   // `cancel` and the caller's instance, so abandoning one on unwind would
   // be a use-after-free.
-  std::vector<Run> runs;
-  runs.reserve(futures.size());
-  std::exception_ptr first_error;
-  const auto join_one = [&](std::future<Run>& future) -> Run* {
-    try {
-      runs.push_back(future.get());
-      return &runs.back();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-      cancel.store(true, std::memory_order_relaxed);
-      return nullptr;
-    }
-  };
   const auto until = deadline.count() > 0
                          ? std::chrono::steady_clock::now() + deadline
                          : std::chrono::steady_clock::time_point::max();
-
-  // If the exact engine certifies an optimum before the deadline, the
-  // heuristic provably cannot win (ties go to the optimal attempt), so
-  // stop it immediately instead of letting it kick until the deadline.
-  if (run_exact && futures[0].wait_until(until) == std::future_status::ready) {
-    Run* exact_run = join_one(futures[0]);
-    if (exact_run != nullptr && exact_run->attempt.finished && exact_run->solution.cost >= 0) {
-      cancel.store(true, std::memory_order_relaxed);
-    }
-  }
-  for (auto& future : futures) {
-    if (future.valid()) future.wait_until(until);
-  }
+  for (auto& future : futures) future.wait_until(until);
   cancel.store(true, std::memory_order_relaxed);
+  std::vector<Run> runs;
+  runs.reserve(futures.size());
+  std::exception_ptr first_error;
   for (auto& future : futures) {
-    if (future.valid()) join_one(future);
+    try {
+      runs.push_back(future.get());
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
   }
   if (first_error) std::rethrow_exception(first_error);
 
   int best = -1;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    Run& run = runs[i];
-    EngineAttempt& attempt = run.attempt;
-    attempt.cost = run.solution.cost;
-    attempt.verified = run.solution.cost >= 0 && is_valid_order(run.solution.order, n) &&
-                       path_length(instance, run.solution.order) == run.solution.cost;
-    const bool exact = attempt.engine == Engine::HeldKarp || attempt.engine == Engine::BranchBound;
-    attempt.optimal = attempt.verified && attempt.finished && exact;
-    if (attempt.verified &&
-        (best < 0 || run.solution.cost < runs[static_cast<std::size_t>(best)].solution.cost ||
-         (run.solution.cost == runs[static_cast<std::size_t>(best)].solution.cost &&
-          attempt.optimal && !runs[static_cast<std::size_t>(best)].attempt.optimal))) {
-      best = static_cast<int>(i);
-    }
-  }
-  for (const Run& run : runs) {
-    outcome.attempts.push_back(run.attempt);
-    outcome.work.merge(run.attempt.work);
-    work_.add(run.attempt.work);
-    const auto slot = static_cast<std::size_t>(slot_of(run.attempt.engine));
-    slot_latency_[slot].record(static_cast<std::uint64_t>(run.attempt.seconds * 1e9));
-    if (!run.attempt.finished) slot_cancelled_[slot].add();
-  }
-
   int verified_attempts = 0;
-  for (const Run& run : runs) {
-    if (run.attempt.verified) ++verified_attempts;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EngineAttempt& attempt = runs[i].attempt;
+    const PathSolution& solution = runs[i].solution;
+    attempt.cost = solution.cost;
+    attempt.verified = solution.cost >= 0 && is_valid_order(solution.order, n) &&
+                       path_length(instance, solution.order) == solution.cost;
+    attempt.optimal = attempt.verified && attempt.finished && is_exact(attempt.engine);
+    if (attempt.verified) {
+      ++verified_attempts;
+      const Run* incumbent = best < 0 ? nullptr : &runs[static_cast<std::size_t>(best)];
+      if (incumbent == nullptr || solution.cost < incumbent->solution.cost ||
+          (solution.cost == incumbent->solution.cost && attempt.optimal &&
+           !incumbent->attempt.optimal)) {
+        best = static_cast<int>(i);
+      }
+    }
+    outcome.attempts.push_back(attempt);
+    outcome.work.merge(attempt.work);
+    work_.add(attempt.work);
+    const auto slot = static_cast<std::size_t>(slot_of(attempt.engine));
+    slot_latency_[slot].record(static_cast<std::uint64_t>(attempt.seconds * 1e9));
+    if (!attempt.finished) slot_cancelled_[slot].add();
   }
   if (best >= 0) {
     Run& winner = runs[static_cast<std::size_t>(best)];
@@ -253,9 +246,8 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
     // without a solution — would make an exact-engine skip
     // self-reinforcing. They still teach the latency predictor and the
     // effort windows — real costs the admission gate must price.
-    const bool exact_won = best >= 0 && (outcome.winner == Engine::HeldKarp ||
-                                         outcome.winner == Engine::BranchBound);
-    tuner_->observe_race(bucket, exact_won, best >= 0 && verified_attempts >= 2,
+    tuner_->observe_race(bucket, best >= 0 && is_exact(outcome.winner),
+                         best >= 0 && verified_attempts >= 2,
                          static_cast<std::uint64_t>(outcome.seconds * 1e9), deadline.count());
   }
   return outcome;

@@ -56,11 +56,14 @@ struct PortfolioOutcome {
 
 /// Deadline-aware engine racing. Each race launches an exact engine
 /// (Held–Karp for small n, BranchBound above) and the strongest heuristic
-/// (ChainedLK) concurrently on a TaskPool, cancels stragglers at the
-/// deadline, and returns the best result among those that verify
-/// (permutation check + independent cost recomputation). What the races
-/// teach — whether to launch the exact engine, and how hard each engine
-/// works — is learned per size bucket by an attached EngineTuner.
+/// (ChainedLK) concurrently on a TaskPool and returns the best result among
+/// those that verify (permutation check + independent cost recomputation).
+/// Two parties cancel: an exact engine that certifies an optimum cancels
+/// its rival from its own task the moment it finishes, and the calling
+/// thread cancels whatever still runs at the deadline before joining every
+/// attempt. What the races teach — whether to launch the exact engine, and
+/// how hard each engine works — is learned per size bucket by an attached
+/// EngineTuner.
 class EnginePortfolio {
  public:
   explicit EnginePortfolio(TaskPool& pool, const PortfolioOptions& options = {});

@@ -212,6 +212,34 @@ TEST(BatchSolver, TruncatedResultsAreUpgradedByLargerBudgets) {
   EXPECT_EQ(third.span, second.span);
 }
 
+TEST(BatchSolver, GroupBudgetIsUnlimitedWhenAnyMemberResolvesToUnlimited) {
+  // Two isomorphic requests with deadlines {0, 1 ms} share one solve. The
+  // SLO tracker counts exactly the deadline-bounded races, so its count
+  // shows which budget the group merge chose, with no timing involved.
+  for (const int service_default_ms : {0, 250}) {
+    SCOPED_TRACE(service_default_ms);
+    BatchSolver::Options options = fast_options();
+    options.portfolio.deadline = std::chrono::milliseconds{service_default_ms};
+    BatchSolver solver(options);
+    Rng rng(83);
+    const Graph base = random_with_diameter_at_most(12, 2, 0.3, rng);
+    std::vector<SolveRequest> requests(2);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      requests[i].graph = relabel(base, rng.permutation(base.n()));
+      requests[i].id = i;
+    }
+    requests[1].deadline = std::chrono::milliseconds{1};
+    const std::vector<SolveResponse> responses = solver.solve_batch(requests);
+    ASSERT_TRUE(responses[0].ok()) << responses[0].message;
+    ASSERT_TRUE(responses[1].ok()) << responses[1].message;
+    EXPECT_EQ(solver.engine_solves(), 1u);
+    // Default 0: the first member resolves to unlimited, so the group
+    // races unbounded and records nothing. Default 250 ms: the members
+    // resolve to 250 and 1 ms, and the group races once under 250 ms.
+    EXPECT_EQ(solver.slo().hits() + solver.slo().misses(), service_default_ms == 0 ? 0u : 1u);
+  }
+}
+
 TEST(BatchSolver, CacheDisabledSolvesEveryRequest) {
   BatchSolver::Options options = fast_options();
   options.use_cache = false;

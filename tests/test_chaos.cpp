@@ -154,6 +154,15 @@ TEST_F(ChaosTest, StoreDegradesUnderWriteFaultsAndHealsAfterwards) {
   std::remove(path.c_str());
 }
 
+/// 5 s connect and request budgets: a fault that wedges the connection
+/// fails the test with a typed outcome instead of hanging it.
+ClientOptions budgeted_client() {
+  ClientOptions options;
+  options.connect_timeout = std::chrono::milliseconds{5000};
+  options.request_timeout = std::chrono::milliseconds{5000};
+  return options;
+}
+
 /// In-process server + real loopback TCP for the transport schedules.
 class ChaosNetTest : public ChaosTest {
  protected:
@@ -170,7 +179,7 @@ class ChaosNetTest : public ChaosTest {
 
 TEST_F(ChaosNetTest, SolveRetryRidesOutAnInjectedDisconnect) {
   start();
-  LabelingClient client{ClientOptions{}};
+  LabelingClient client{budgeted_client()};
   client.connect("127.0.0.1", server_->port());
 
   Rng rng(31);
@@ -187,8 +196,7 @@ TEST_F(ChaosNetTest, SolveRetryRidesOutAnInjectedDisconnect) {
 
 TEST_F(ChaosNetTest, WaitForTimesOutTypedAndTheLateReplyStillArrives) {
   start();
-  ClientOptions options;
-  LabelingClient client{options};
+  LabelingClient client{budgeted_client()};
   client.connect("127.0.0.1", server_->port());
 
   Rng rng(37);
@@ -218,7 +226,7 @@ TEST_F(ChaosNetTest, BrownoutLadderShedsThenRejectsThenReleases) {
   solver_options.portfolio.deadline = std::chrono::milliseconds{150};
   start(server_options, solver_options);
 
-  LabelingClient client{ClientOptions{}};
+  LabelingClient client{budgeted_client()};
   client.connect("127.0.0.1", server_->port());
 
   // Stall every race so the pending gauge climbs past both rungs while a
@@ -270,7 +278,7 @@ TEST_F(ChaosNetTest, BrownoutLadderShedsThenRejectsThenReleases) {
 
 TEST_F(ChaosNetTest, OneByteReadsAndWritesStillRoundTripExactly) {
   start();
-  LabelingClient client{ClientOptions{}};
+  LabelingClient client{budgeted_client()};
   client.connect("127.0.0.1", server_->port());
 
   // Every socket read and write on both sides truncated to one byte:
@@ -292,7 +300,7 @@ TEST_F(ChaosNetTest, MixedFaultScheduleNeverCrashesAndNeverLies) {
   solver_options.portfolio.deadline = std::chrono::milliseconds{150};
   start({}, solver_options);
 
-  ClientOptions options;
+  ClientOptions options = budgeted_client();
   options.request_timeout = std::chrono::milliseconds{15000};
   LabelingClient client{options};
   client.connect("127.0.0.1", server_->port());

@@ -116,6 +116,32 @@ TEST(Portfolio, RaceOverheadHasOneSampleNoLargerThanEachContestedRace) {
   EXPECT_EQ(overhead().count, 4u);
 }
 
+TEST(Portfolio, CertifiedExactFinishCancelsItsRivalFromItsOwnTask) {
+  // One FIFO worker and no deadline: Held-Karp runs to completion before
+  // chained-LK starts, so the only cancel LK can see is the one the exact
+  // attempt stored itself when it certified. Nothing here depends on timing.
+  TaskPool pool(1);
+  PortfolioOptions options;
+  options.deadline = std::chrono::milliseconds{0};
+  EnginePortfolio portfolio(pool, options);
+  obs::MetricRegistry registry;
+  portfolio.register_metrics(registry);
+  Rng rng(53);
+  const Graph graph = random_with_diameter_at_most(12, 2, 0.3, rng);
+  const PortfolioOutcome outcome = portfolio.race(reduced_instance(graph, PVec::L21()));
+
+  ASSERT_EQ(outcome.attempts.size(), 2u);
+  const EngineAttempt& exact = outcome.attempts[0];
+  const EngineAttempt& heuristic = outcome.attempts[1];
+  EXPECT_EQ(exact.engine, Engine::HeldKarp);
+  EXPECT_TRUE(exact.optimal);
+  EXPECT_EQ(heuristic.engine, Engine::ChainedLK);
+  EXPECT_FALSE(heuristic.finished);
+  EXPECT_EQ(heuristic.work.lk_kicks, 0u);
+  EXPECT_EQ(registry.snapshot().counter_or("engine_race_cancelled_chained_lk"), 1u);
+  EXPECT_EQ(outcome.winner, Engine::HeldKarp);
+}
+
 TEST(Portfolio, PoisonedTunerStateStillReprobesExactEngine) {
   // Regression: a restart over a heuristic-heavy learned state used to
   // disable the exact engine permanently — with zero exact wins on record

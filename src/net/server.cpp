@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <mutex>
@@ -16,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/brownout.hpp"
 #include "obs/journal.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
@@ -81,9 +79,6 @@ struct LabelingServer::LoopState {
   /// connection we cannot accept would otherwise keep the listen fd
   /// POLLIN-ready and spin the loop at 100% CPU.
   int accept_backoff = 0;
-  /// Brownout hysteresis state machine (loop-thread owned — the atomic
-  /// brownout_level_ is the published view).
-  BrownoutLadder brownout;
 };
 
 LabelingServer::LabelingServer(BatchSolver& solver, const Options& options)
@@ -111,13 +106,8 @@ void LabelingServer::register_metrics() {
   registry.register_counter("net_bytes_in", &bytes_in_, this);
   registry.register_counter("net_bytes_out", &bytes_out_, this);
   registry.register_counter("net_stats_requests", &stats_requests_, this);
-  registry.register_counter("net_brownout_sheds", &brownout_sheds_, this);
-  registry.register_counter("net_brownout_rejects", &brownout_rejects_, this);
   registry.register_gauge(
       "net_open_connections", [this] { return static_cast<std::int64_t>(open_connections()); },
-      this);
-  registry.register_gauge(
-      "net_brownout_level", [this] { return static_cast<std::int64_t>(brownout_level()); },
       this);
   // One counter per fault kind, named from the enum (None excluded: a
   // clean decode is not an error to count).
@@ -175,9 +165,6 @@ void LabelingServer::start() {
   completions_ = std::make_shared<CompletionQueue>();
   completions_->wake_fd = pipe_fds[1];
   loop_ = std::make_unique<LoopState>();
-  loop_->brownout = BrownoutLadder(BrownoutLadder::Config{
-      options_.brownout_heuristic_pending, options_.brownout_reject_pending,
-      options_.brownout_exit_ratio});
 
   running_.store(true, std::memory_order_release);
   loop_thread_ = std::thread([this] { event_loop(); });
@@ -222,16 +209,11 @@ LabelingServer::Counters LabelingServer::counters() const {
   counters.bytes_in = bytes_in_.value();
   counters.bytes_out = bytes_out_.value();
   counters.stats_requests = stats_requests_.value();
-  counters.brownout_sheds = brownout_sheds_.value();
-  counters.brownout_rejects = brownout_rejects_.value();
   return counters;
 }
 
 void LabelingServer::event_loop() {
   while (!stop_requested_.load(std::memory_order_acquire)) {
-    // Re-evaluate the ladder every cycle, not just on request arrival, so
-    // the rungs release as the backlog drains even on a quiet socket.
-    update_brownout();
     auto& pollfds = loop_->pollfds;
     auto& poll_ids = loop_->poll_ids;
     pollfds.clear();
@@ -304,43 +286,6 @@ void LabelingServer::event_loop() {
   for (const auto& [id, connection] : loop_->connections) ids.push_back(id);
   for (const std::uint64_t id : ids) close_connection(id);
   close_fd(listen_fd_);
-  // The heuristic-only override belongs to this server's ladder; the
-  // solver (and any future server over it) must get its portfolio back.
-  if (loop_->brownout.heuristic_engaged()) solver_.portfolio().force_heuristic_only(false);
-  loop_->brownout = BrownoutLadder{};
-  brownout_level_.store(0, std::memory_order_relaxed);
-}
-
-void LabelingServer::update_brownout() {
-  if (!loop_->brownout.enabled()) return;
-  const BrownoutLadder::Transition transition =
-      loop_->brownout.update(solver_.pending_requests());
-  if (transition.heuristic_changed) {
-    solver_.portfolio().force_heuristic_only(transition.heuristic_engaged);
-    if (transition.heuristic_engaged) brownout_sheds_.add();
-  }
-  brownout_level_.store(transition.new_level, std::memory_order_relaxed);
-  if (transition.level_changed()) {
-    // Rung transitions are the incident timeline's backbone: the journal
-    // answers "when did we start shedding, and when did we recover".
-    obs::journal().emit(
-        obs::EventType::BrownoutRung,
-        transition.new_level > transition.old_level ? obs::EventLevel::Warn
-                                                    : obs::EventLevel::Info,
-        nullptr, 0, 0, transition.old_level, transition.new_level);
-  }
-}
-
-std::uint32_t LabelingServer::retry_after_hint() const {
-  const std::uint32_t base = options_.brownout_retry_after_ms;
-  if (base == 0) return 0;  // hints disabled
-  // Price the hint off the solver's predicted pending work: a client told
-  // to retry in `base` ms against a 5-second heavy backlog would only
-  // bounce off the gate again. Capped at 60s so one mispredicted monster
-  // request cannot park clients for minutes.
-  const std::uint64_t work_ms = solver_.pending_work_ns() / 1'000'000;
-  if (work_ms > base) return static_cast<std::uint32_t>(std::min<std::uint64_t>(work_ms, 60'000));
-  return base;
 }
 
 void LabelingServer::accept_new_connections() {
@@ -387,12 +332,6 @@ void LabelingServer::drain_completions() {
     if (it == loop_->connections.end()) continue;  // connection died mid-solve
     Connection& connection = it->second;
     if (connection.inflight > 0) --connection.inflight;
-    // The solver's own admission gate produces RejectedOverload without a
-    // hint; stamp the configured one so every overload reply tells the
-    // client when to come back.
-    if (response.status == SolveStatus::RejectedOverload && response.retry_after_ms == 0) {
-      response.retry_after_ms = retry_after_hint();
-    }
     encode_response(connection.out, response);
     responses_sent_.add();
     flush_writes(connection);
@@ -517,7 +456,7 @@ void LabelingServer::handle_request(Connection& connection, SolveRequest&& reque
     response.id = request.id;
     response.status = SolveStatus::RejectedOverload;
     response.message = detail;
-    response.retry_after_ms = retry_after_hint();
+    response.retry_after_ms = solver_.retry_after_hint();
     encode_response(connection.out, response);
     counter.add();
     responses_sent_.add();
@@ -529,19 +468,6 @@ void LabelingServer::handle_request(Connection& connection, SolveRequest&& reque
   }
   if (connection.queued_bytes() > options_.max_queued_bytes_per_connection) {
     reject("connection response backlog limit reached, read faster", rejected_backlog_);
-    return;
-  }
-  // The top brownout rung: the pending gauge crossed the reject threshold,
-  // so the kindest answer is an immediate typed refusal with a hint —
-  // queueing more work would only stretch every deadline in the backlog.
-  update_brownout();
-  if (loop_->brownout.reject_engaged()) {
-    // Trace-correlated: an incident read can tie "this client's request
-    // was refused" to the client-side trace carrying the same id.
-    obs::journal().emit(obs::EventType::OverloadReject, obs::EventLevel::Error, nullptr,
-                        request.trace_id, connection.id);
-    reject("service browned out: pending backlog over the reject threshold, retry later",
-           brownout_rejects_);
     return;
   }
   ++connection.inflight;

@@ -22,14 +22,15 @@ namespace lptsp {
 /// id). The loop itself never solves anything and never blocks on the
 /// solver, so one slow instance cannot stall the accept path.
 ///
-/// Backpressure is enforced at two levels, both answered with a typed
-/// SolveStatus::RejectedOverload response instead of unbounded buffering:
-///   - per connection: at most `max_inflight_per_connection` requests
-///     submitted-but-unanswered, and at most
-///     `max_queued_bytes_per_connection` of encoded responses waiting for
-///     a slow reader;
-///   - per service: BatchSolver's own `max_pending_requests` admission
-///     gate (configure it on the solver passed in).
+/// The server enforces only per-connection backpressure: at most
+/// `max_inflight_per_connection` requests submitted-but-unanswered, and at
+/// most `max_queued_bytes_per_connection` of encoded responses waiting for
+/// a slow reader, each answered with a typed SolveStatus::RejectedOverload
+/// carrying the solver's retry_after_hint() instead of unbounded
+/// buffering. Every service-wide overload decision (the pending-request
+/// and work-priced gates, the heuristic-only brownout rung, the
+/// retry-after hint) belongs to the BatchSolver passed in — configure it
+/// there; its rejections reach the client untouched.
 ///
 /// Protocol-level faults (bad magic, truncated or malformed frames) are
 /// answered with an Error frame and the connection is closed — the length
@@ -46,22 +47,6 @@ class LabelingServer {
     std::size_t max_inflight_per_connection = 64;
     std::size_t max_queued_bytes_per_connection = std::size_t{4} << 20;
     WireLimits wire;
-    /// Brownout ladder, driven by the solver's pending_requests() gauge.
-    /// Rung 1: at `brownout_heuristic_pending` pending requests the
-    /// portfolio is forced heuristic-only (sheds the exact engines, keeps
-    /// answering). Rung 2: at `brownout_reject_pending` new requests are
-    /// rejected with RejectedOverload + a retry-after hint. Each rung
-    /// releases with hysteresis once pending falls to
-    /// `brownout_exit_ratio` of its threshold. 0 disables a rung.
-    std::size_t brownout_heuristic_pending = 0;
-    std::size_t brownout_reject_pending = 0;
-    double brownout_exit_ratio = 0.5;
-    /// Base retry-after hint stamped on every RejectedOverload reply; 0 =
-    /// no hint. When the solver's predicted pending work exceeds this,
-    /// the hint grows to the predicted drain time (capped at 60s) —
-    /// clients backing off a deep heavy backlog wait proportionally
-    /// longer than ones hitting a momentary spike.
-    std::uint32_t brownout_retry_after_ms = 250;
   };
 
   /// Monotonic observability counters (queue depth lives on the solver:
@@ -80,8 +65,6 @@ class LabelingServer {
     std::uint64_t bytes_in = 0;             ///< raw socket bytes read
     std::uint64_t bytes_out = 0;            ///< raw socket bytes written
     std::uint64_t stats_requests = 0;       ///< StatsRequest frames served
-    std::uint64_t brownout_sheds = 0;       ///< times rung 1 (heuristic-only) engaged
-    std::uint64_t brownout_rejects = 0;     ///< requests rejected by rung 2
   };
 
   /// The solver must outlive the server.
@@ -114,12 +97,6 @@ class LabelingServer {
     return open_connections_.load(std::memory_order_relaxed);
   }
 
-  /// Current brownout rung: 0 = healthy, 1 = heuristic-only, 2 = rejecting
-  /// new requests. Also published as the net_brownout_level gauge.
-  [[nodiscard]] int brownout_level() const noexcept {
-    return brownout_level_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Connection;
   struct CompletionQueue;
@@ -130,14 +107,6 @@ class LabelingServer {
   void handle_readable(Connection& connection);
   void handle_frame(Connection& connection, WireMessage&& message);
   void handle_request(Connection& connection, SolveRequest&& request);
-  /// Re-evaluate both brownout rungs against pending_requests(), with
-  /// hysteresis (BrownoutLadder does the state machine; this applies its
-  /// side effects). Loop-thread only.
-  void update_brownout();
-  /// Retry-after to stamp on RejectedOverload replies: the configured
-  /// base, stretched to the solver's predicted pending-work drain time
-  /// when that is longer. 0 when hints are disabled.
-  [[nodiscard]] std::uint32_t retry_after_hint() const;
   void handle_stats_request(Connection& connection, StatsFormat format, std::uint64_t since);
   /// Encode an Error frame, bump protocol_errors_ + the per-fault counter,
   /// and mark the connection closing.
@@ -181,10 +150,6 @@ class LabelingServer {
   obs::Counter bytes_in_;
   obs::Counter bytes_out_;
   obs::Counter stats_requests_;
-  obs::Counter brownout_sheds_;
-  obs::Counter brownout_rejects_;
-  /// Published rung (0/1/2); written by the loop thread, read by scrapers.
-  std::atomic<int> brownout_level_{0};
   /// Error frames sent, by WireFault (index = fault value; the None slot
   /// is never incremented but keeps indexing trivial).
   std::array<obs::Counter, 7> wire_faults_;

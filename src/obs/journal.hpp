@@ -22,12 +22,12 @@ namespace lptsp::obs {
 /// What kind of thing happened. Extend freely: journal_event_name is
 /// compile-checked (defaultless switch + -Werror=switch).
 enum class EventType : std::uint8_t {
-  BrownoutRung,    ///< admission ladder moved; arg0 = old rung, arg1 = new
+  BrownoutRung,    ///< heuristic-only rung flipped; arg0/arg1 = old/new (1 = engaged)
   StoreDegraded,   ///< durable store flipped read-only; arg0 = consecutive failures
   StoreHealed,     ///< probe compaction restored writes
   WireFault,       ///< protocol error sent to a peer; peer = connection id
   FaultFired,      ///< an armed fault site fired; detail = site name
-  OverloadReject,  ///< request rejected at the brownout reject rung
+  OverloadReject,  ///< admission gate refused a request; trace_id = its trace, detail = gate
   SloBreach,       ///< rolling deadline-hit ratio fell below target; arg0 = pct, arg1 = target
   SloRecovered,    ///< rolling deadline-hit ratio back at/above target
   TunerEffort,     ///< per-bucket effort changed; peer = bucket, arg0 = old %, arg1 = new %

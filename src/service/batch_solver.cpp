@@ -6,6 +6,7 @@
 #include "core/order_labeling.hpp"
 #include "core/reduction.hpp"
 #include "graph/operations.hpp"
+#include "obs/journal.hpp"
 #include "store/backend.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -46,7 +47,7 @@ BatchSolver::BatchSolver(const Options& options)
           options.trace_capacity,
           static_cast<std::uint64_t>(options.trace_threshold.count()) * 1'000'000}),
       cache_(options.cache),
-      tuner_(options.tuner, options.portfolio.deadline),
+      tuner_(options.tuner),
       engine_pool_(options.engine_workers),
       portfolio_(engine_pool_, options.portfolio),
       request_pool_(options.request_workers) {
@@ -85,6 +86,10 @@ void BatchSolver::register_metrics() {
   registry_.register_counter("engine_solves", &engine_solves_, this);
   registry_.register_counter("rejected_overload", &rejected_overload_, this);
   registry_.register_counter("rejected_work_priced", &rejected_work_priced_, this);
+  registry_.register_counter("brownout_sheds", &brownout_sheds_, this);
+  registry_.register_gauge(
+      "brownout_level", [this] { return static_cast<std::int64_t>(portfolio_.heuristic_only()); },
+      this);
   registry_.register_gauge(
       "pending_requests", [this] { return static_cast<std::int64_t>(pending_requests()); }, this);
   registry_.register_gauge(
@@ -486,55 +491,92 @@ void BatchSolver::finish_trace(obs::Trace&& trace, const char* result) {
 
 bool BatchSolver::admit(const SolveRequest& request, std::uint64_t& admitted_work_ns) {
   admitted_work_ns = 0;
-  if (options_.max_pending_requests != 0 &&
-      pending_requests_.load(std::memory_order_relaxed) >= options_.max_pending_requests) {
+  const auto reject = [&](const char* gate) {
     // Rejected submissions still count toward requests_total (they got a
     // response), so rejected/total is a meaningful rejection ratio.
     requests_total_.add();
     rejected_overload_.add();
+    // Trace-correlated: an incident read can tie "this client's request
+    // was refused" to the client-side trace carrying the same id.
+    obs::journal().emit(obs::EventType::OverloadReject, obs::EventLevel::Error, gate,
+                        request.trace_id);
     return false;
+  };
+  if (options_.max_pending_requests != 0 &&
+      pending_requests_.load(std::memory_order_relaxed) >= options_.max_pending_requests) {
+    return reject("pending-requests");
   }
-  if (options_.max_pending_work_ns == 0 && !options_.tuner.enabled) {
-    pending_requests_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  // Price the request by its size bucket and budget. The canonical key is
-  // unknown this early (canonicalization happens on a worker), so the
-  // prediction is per-size, not per-key — the hot-key table still feeds
-  // it through the tuner's bucket aggregation.
-  const std::uint64_t predicted =
-      tuner_.predicted_work_ns(request.graph.n(), race_budget_ms(request));
-  if (options_.max_pending_work_ns != 0) {
+  if (options_.max_pending_work_ns != 0 || options_.tuner.enabled) {
+    // Price the request by its size bucket and budget. The canonical key
+    // is unknown this early (canonicalization happens on a worker), so the
+    // prediction is per-size, not per-key — the hot-key table still feeds
+    // it through the tuner's bucket aggregation.
+    const std::uint64_t predicted =
+        tuner_.predicted_work_ns(request.graph.n(), race_budget_ms(request));
     const std::uint64_t pending = pending_work_ns_.load(std::memory_order_relaxed);
     // An empty queue always admits: one request can never be priced out
     // of an idle service, however expensive it looks.
-    if (pending != 0 && pending + predicted > options_.max_pending_work_ns) {
-      requests_total_.add();
-      rejected_overload_.add();
+    if (options_.max_pending_work_ns != 0 && pending != 0 &&
+        pending + predicted > options_.max_pending_work_ns) {
       rejected_work_priced_.add();
-      return false;
+      return reject("pending-work");
     }
+    // Charge the gauge even when only counting (tuner on, work gate off):
+    // the retry-after hint reads it either way.
+    pending_work_ns_.fetch_add(predicted, std::memory_order_relaxed);
+    admitted_work_ns = predicted;
   }
-  // Charge the gauge even when only counting (tuner on, work gate off):
-  // the server's retry-after hint reads it either way.
-  pending_work_ns_.fetch_add(predicted, std::memory_order_relaxed);
-  admitted_work_ns = predicted;
-  pending_requests_.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t already = pending_requests_.fetch_add(1, std::memory_order_relaxed);
+  // Engaging before the request is queued means its own release() runs
+  // after the flip, so an engage racing a drain is always re-evaluated.
+  if (options_.brownout_heuristic_pending != 0 && already >= options_.brownout_heuristic_pending) {
+    set_brownout(true);
+  }
   return true;
 }
 
 void BatchSolver::release(std::uint64_t admitted_work_ns) noexcept {
   pending_work_ns_.fetch_sub(admitted_work_ns, std::memory_order_relaxed);
-  pending_requests_.fetch_sub(1, std::memory_order_relaxed);
+  const std::size_t left = pending_requests_.fetch_sub(1, std::memory_order_relaxed) - 1;
+  // Hysteresis: release at half the engage threshold, truncated, so a
+  // threshold of 1 holds the rung until the queue is empty.
+  if (options_.brownout_heuristic_pending != 0 && left <= options_.brownout_heuristic_pending / 2) {
+    set_brownout(false);
+  }
+}
+
+void BatchSolver::set_brownout(bool engaged) noexcept {
+  // The portfolio's flag is the rung's only state; its exchange hands each
+  // flip to exactly one of the threads racing to make it.
+  if (portfolio_.force_heuristic_only(engaged) == engaged) return;
+  if (engaged) brownout_sheds_.add();
+  // Rung flips are the incident timeline's backbone: the journal answers
+  // "when did we start shedding, and when did we recover".
+  obs::journal().emit(obs::EventType::BrownoutRung,
+                      engaged ? obs::EventLevel::Warn : obs::EventLevel::Info, nullptr, 0, 0,
+                      engaged ? 0 : 1, engaged ? 1 : 0);
+}
+
+std::uint32_t BatchSolver::retry_after_hint() const noexcept {
+  const std::uint32_t base = options_.retry_after_ms;
+  if (base == 0) return 0;  // hints disabled
+  // Price the hint off the predicted pending work: a client told to retry
+  // in `base` ms against a 5-second heavy backlog would only bounce off
+  // the gate again. Capped at 60s so one mispredicted monster request
+  // cannot park clients for minutes.
+  const std::uint64_t work_ms = pending_work_ns() / 1'000'000;
+  return static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(base, std::min<std::uint64_t>(work_ms, 60'000)));
 }
 
 namespace {
 
-SolveResponse overload_response(const SolveRequest& request) {
+SolveResponse overload_response(const SolveRequest& request, std::uint32_t retry_after_ms) {
   SolveResponse response;
   response.id = request.id;
   response.status = SolveStatus::RejectedOverload;
   response.message = status_message(response.status, 0, request.p);
+  response.retry_after_ms = retry_after_ms;
   return response;
 }
 
@@ -544,7 +586,7 @@ std::future<SolveResponse> BatchSolver::submit(SolveRequest request) {
   std::uint64_t admitted_work_ns = 0;
   if (!admit(request, admitted_work_ns)) {
     std::promise<SolveResponse> rejected;
-    rejected.set_value(overload_response(request));
+    rejected.set_value(overload_response(request, retry_after_hint()));
     return rejected.get_future();
   }
   const std::uint64_t enqueued_ns = options_.metrics ? obs::steady_now_ns() : 0;
@@ -567,7 +609,7 @@ std::future<SolveResponse> BatchSolver::submit(SolveRequest request) {
 void BatchSolver::submit_async(SolveRequest request, std::function<void(SolveResponse)> done) {
   std::uint64_t admitted_work_ns = 0;
   if (!admit(request, admitted_work_ns)) {
-    done(overload_response(request));
+    done(overload_response(request, retry_after_hint()));
     return;
   }
   const std::uint64_t enqueued_ns = options_.metrics ? obs::steady_now_ns() : 0;

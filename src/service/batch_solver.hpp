@@ -70,6 +70,18 @@ class BatchSolver {
     /// request arriving at an empty queue is always admitted (nothing may
     /// be priced out of an idle service). 0 = count-based admission only.
     std::uint64_t max_pending_work_ns = 0;
+    /// Heuristic-only brownout rung, the step before rejecting: a request
+    /// admitted with at least this many already pending forces the
+    /// portfolio heuristic-only (sheds the exact engines, keeps
+    /// answering); the rung releases once pending falls to half of it,
+    /// truncated — a threshold of 1 releases only on an empty queue.
+    /// 0 = off.
+    std::size_t brownout_heuristic_pending = 0;
+    /// Base retry-after hint on every RejectedOverload reply; 0 = no hint.
+    /// The hint grows to the predicted pending-work drain time when that
+    /// is longer (capped at 60s): clients backing off a deep heavy backlog
+    /// wait proportionally longer than ones hitting a momentary spike.
+    std::uint32_t retry_after_ms = 250;
     /// The learning layer (see src/service/tuner.hpp): decayed exact-skip
     /// pre-trim with re-probe, per-bucket effort tuning, and the
     /// admission cost predictor. tuner.enabled = false leaves the tuner
@@ -199,12 +211,17 @@ class BatchSolver {
   }
 
   /// Predicted engine nanoseconds admitted but not yet finished — the
-  /// backlog gauge work-priced admission and the server's retry-after
-  /// hint read. Maintained whenever the tuner is enabled (priced at
-  /// admission, released on completion), 0 otherwise.
+  /// backlog gauge work-priced admission and the retry-after hint read.
+  /// Maintained whenever the tuner is enabled (priced at admission,
+  /// released on completion), 0 otherwise.
   [[nodiscard]] std::uint64_t pending_work_ns() const noexcept {
     return pending_work_ns_.load(std::memory_order_relaxed);
   }
+
+  /// Retry-after to stamp on a RejectedOverload reply: Options::
+  /// retry_after_ms, stretched to the predicted pending-work drain time
+  /// when that is longer (capped at 60s). 0 when hints are disabled.
+  [[nodiscard]] std::uint32_t retry_after_hint() const noexcept;
 
   /// Outcome of the startup warm load from the durable store (all zeros
   /// when no store is configured).
@@ -262,17 +279,21 @@ class BatchSolver {
   /// registry_ (constructor tail).
   void register_metrics();
 
-  /// True when the request has admission headroom under BOTH gates (the
-  /// request-count bound and, when configured, the work-price budget);
-  /// false increments the rejection counters. On admission,
-  /// `admitted_work_ns` is the predicted cost charged to the pending-work
-  /// gauge — the completion path must release exactly that amount. The
-  /// check is racy by design (two concurrent submits may both pass at the
-  /// boundary) — the bounds are backpressure valves, not exact
-  /// semaphores.
+  /// The one overload decision. True when the request has admission
+  /// headroom under BOTH gates (the request-count bound and, when
+  /// configured, the work-price budget), re-evaluating the heuristic-only
+  /// rung on the way in; false counts and journals the rejection. On
+  /// admission, `admitted_work_ns` is the predicted cost charged to the
+  /// pending-work gauge — the completion path must release exactly that
+  /// amount. The check is racy by design (two concurrent submits may both
+  /// pass at the boundary) — the bounds are backpressure valves, not
+  /// exact semaphores.
   bool admit(const SolveRequest& request, std::uint64_t& admitted_work_ns);
-  /// Undo one admission's charges; runs before the response is published.
+  /// Undo one admission's charges and re-evaluate the heuristic-only rung;
+  /// runs before the response is published.
   void release(std::uint64_t admitted_work_ns) noexcept;
+  /// Flip the heuristic-only rung; journals and counts only a real flip.
+  void set_brownout(bool engaged) noexcept;
 
   // Declaration order doubles as teardown order (reversed): request_pool_
   // is declared LAST so its destructor — which drains still-queued request
@@ -302,6 +323,7 @@ class BatchSolver {
   obs::Counter engine_solves_;
   obs::Counter rejected_overload_;
   obs::Counter rejected_work_priced_;
+  obs::Counter brownout_sheds_;
   /// Admitted but unanswered requests (see pending_requests()).
   std::atomic<std::size_t> pending_requests_{0};
   /// Predicted ns admitted but not finished (see pending_work_ns()).

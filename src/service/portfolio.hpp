@@ -88,13 +88,15 @@ class EnginePortfolio {
   /// synchronized against in-flight races.
   void attach_tuner(EngineTuner* tuner) noexcept { tuner_ = tuner; }
 
-  /// Brownout override (rung 1 of the server's degradation ladder): while
-  /// set, race() skips the exact engine entirely and serves the chained-LK
-  /// heuristic alone — bounded work per request, no optimality
-  /// certificates. Safe to toggle from any thread; in-flight races finish
-  /// under the mode they started with.
-  void force_heuristic_only(bool on) noexcept {
-    heuristic_only_.store(on, std::memory_order_relaxed);
+  /// Brownout override (the heuristic-only rung of BatchSolver's
+  /// admission): while set, race() skips the exact engine entirely and
+  /// serves the chained-LK heuristic alone — bounded work per request, no
+  /// optimality certificates. Safe to toggle from any thread; in-flight
+  /// races finish under the mode they started with. Returns the previous
+  /// value, so of several threads setting the same value exactly one sees
+  /// the flip.
+  bool force_heuristic_only(bool on) noexcept {
+    return heuristic_only_.exchange(on, std::memory_order_relaxed);
   }
   [[nodiscard]] bool heuristic_only() const noexcept {
     return heuristic_only_.load(std::memory_order_relaxed);

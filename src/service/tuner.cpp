@@ -19,15 +19,17 @@ constexpr double kSeedCapFactor = 4.0;
 /// Minimum admission price: even a certain cache hit costs queue slots.
 constexpr std::uint64_t kMinPredictedNs = 1'000;
 
+/// Price of an unlimited race budget on a size with no history: the
+/// service's default race deadline, 250ms.
+constexpr std::uint64_t kUnlimitedColdPriceNs = 250'000'000;
+
 /// Histogram samples required before the latency quantile outranks the
 /// conservative deadline-based fallback.
 constexpr std::uint64_t kMinPredictorSamples = 8;
 
 }  // namespace
 
-EngineTuner::EngineTuner(const TunerOptions& options, std::chrono::milliseconds default_deadline)
-    : options_(options), default_deadline_(default_deadline) {
-  if (default_deadline_.count() <= 0) default_deadline_ = std::chrono::milliseconds{250};
+EngineTuner::EngineTuner(const TunerOptions& options) : options_(options) {
   if (options_.effort_min_percent < 1) options_.effort_min_percent = 1;
   if (options_.effort_max_percent < options_.effort_min_percent) {
     options_.effort_max_percent = options_.effort_min_percent;
@@ -184,7 +186,7 @@ EffortPolicy EngineTuner::effort(int bucket) const {
   return policy;
 }
 
-std::uint64_t EngineTuner::predicted_work_ns(int n, std::int64_t deadline_ms) const {
+std::uint64_t EngineTuner::predicted_work_ns(int n, std::int64_t budget_ms) const {
   const auto index = static_cast<std::size_t>(obs::size_bucket(n));
   std::uint64_t estimate = 0;
   const obs::HistogramSnapshot snap = race_ns_[index].snapshot();
@@ -197,13 +199,12 @@ std::uint64_t EngineTuner::predicted_work_ns(int n, std::int64_t deadline_ms) co
   if (estimate == 0) {
     // No history at this size: price at the full race budget. Unknown
     // sizes are exactly where optimistic admission melts the queue.
-    const std::int64_t budget_ms =
-        deadline_ms > 0 ? deadline_ms : default_deadline_.count();
-    estimate = static_cast<std::uint64_t>(budget_ms) * 1'000'000ULL;
+    estimate = budget_ms > 0 ? static_cast<std::uint64_t>(budget_ms) * 1'000'000ULL
+                             : kUnlimitedColdPriceNs;
   }
-  if (deadline_ms > 0) {
+  if (budget_ms > 0) {
     estimate = std::min(estimate,
-                        static_cast<std::uint64_t>(deadline_ms) * std::uint64_t{2'000'000});
+                        static_cast<std::uint64_t>(budget_ms) * std::uint64_t{2'000'000});
   }
   return std::max(estimate, kMinPredictedNs);
 }

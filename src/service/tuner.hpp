@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -97,10 +96,7 @@ class EngineTuner {
  public:
   static constexpr double kBaseHkOverrunFactor = 4.0;
 
-  EngineTuner() : EngineTuner(TunerOptions{}, std::chrono::milliseconds{250}) {}
-  /// `default_deadline` prices requests that carry no deadline of their
-  /// own (the service default race budget; <= 0 falls back to 250ms).
-  EngineTuner(const TunerOptions& options, std::chrono::milliseconds default_deadline);
+  explicit EngineTuner(const TunerOptions& options = {});
 
   EngineTuner(const EngineTuner&) = delete;
   EngineTuner& operator=(const EngineTuner&) = delete;
@@ -141,12 +137,14 @@ class EngineTuner {
   /// Current effort for a bucket (lock-free; read on the race path).
   [[nodiscard]] EffortPolicy effort(int bucket) const;
 
-  /// Predicted engine cost of one request: max of the bucket's race
-  /// latency quantile and the hot-key table's bucket mean, falling back
-  /// to the full race budget when the bucket has no history (admission
-  /// must price unknown sizes conservatively). Capped at twice the
-  /// request's own budget — a race cannot run much past its deadline.
-  [[nodiscard]] std::uint64_t predicted_work_ns(int n, std::int64_t deadline_ms) const;
+  /// Predicted engine cost of one request with the resolved race budget
+  /// `budget_ms` (0 = unlimited; the caller has already applied its
+  /// defaults): max of the bucket's race latency quantile and the hot-key
+  /// table's bucket mean, falling back to the full budget when the bucket
+  /// has no history (admission must price unknown sizes conservatively)
+  /// and to a fixed 250ms for an unlimited one. Capped at twice a finite
+  /// budget — a race cannot run much past its deadline.
+  [[nodiscard]] std::uint64_t predicted_work_ns(int n, std::int64_t budget_ms) const;
 
   /// tuner_reprobes / tuner_pretrim_skips / tuner_effort_changes.
   void register_metrics(obs::MetricRegistry& registry, const void* owner) const;
@@ -179,7 +177,6 @@ class EngineTuner {
   [[nodiscard]] bool trimmed_now(const Bucket& bucket) const noexcept;
 
   TunerOptions options_;
-  std::chrono::milliseconds default_deadline_;
   const obs::KeyProfileTable* key_profile_ = nullptr;
 
   /// One mutex over all bucket learning state: admit/observe run once per

@@ -216,63 +216,59 @@ TEST_F(ChaosNetTest, WaitForTimesOutTypedAndTheLateReplyStillArrives) {
   client.shutdown();
 }
 
-TEST_F(ChaosNetTest, BrownoutLadderShedsThenRejectsThenReleases) {
-  LabelingServer::Options server_options;
-  server_options.brownout_heuristic_pending = 2;
-  server_options.brownout_reject_pending = 4;
-  server_options.brownout_retry_after_ms = 123;
+TEST_F(ChaosNetTest, OverloadShedsThenRejectsThenReleasesOverRealSockets) {
   BatchSolver::Options solver_options;
   solver_options.request_workers = 1;
-  solver_options.portfolio.deadline = std::chrono::milliseconds{150};
-  start(server_options, solver_options);
+  solver_options.max_pending_requests = 4;
+  solver_options.brownout_heuristic_pending = 2;
+  solver_options.retry_after_ms = 123;
+  start({}, solver_options);
 
   LabelingClient client{budgeted_client()};
   client.connect("127.0.0.1", server_->port());
 
-  // Stall every race so the pending gauge climbs past both rungs while a
-  // pipelined burst of unique instances lands.
-  fault::arm(FaultSite::EngineStall, 1.0, 13, /*max_fires=*/0, /*param=*/120);
+  // Hold the first race until the test releases it: nothing completes
+  // during the burst, so which requests are admitted depends on arrival
+  // order alone. One connection's frames are admitted in order: 1-4 fit
+  // under max_pending_requests (the third engages the heuristic-only
+  // rung), 5-10 are refused.
+  fault::arm(FaultSite::EngineStall, 1.0, 13, /*max_fires=*/1, /*param=*/60'000);
   Rng rng(41);
   constexpr std::uint64_t kBurst = 10;
+  constexpr std::uint64_t kAdmitted = 4;
   std::vector<Graph> graphs;
   for (std::uint64_t id = 1; id <= kBurst; ++id) {
     graphs.push_back(random_with_diameter_at_most(12, 2, 0.3, rng));
     client.submit(request_for(graphs.back(), id));
   }
-  std::uint64_t ok = 0;
-  std::uint64_t rejected = 0;
-  for (std::uint64_t i = 0; i < kBurst; ++i) {
-    const SolveResponse response = client.wait_for(i + 1, std::chrono::milliseconds{20000});
-    if (response.status == SolveStatus::RejectedOverload) {
-      ++rejected;
-      // Rung 2 stamps the retry-after hint, and v3 carries it. The
-      // configured base is the floor; with a backlog of stalled races the
-      // hint stretches to the predicted pending-work drain time (capped
-      // at 60s) — a client told "123ms" against a multi-request stall
-      // would only bounce off the gate again.
-      EXPECT_GE(response.retry_after_ms, 123u);
-      EXPECT_LE(response.retry_after_ms, 60'000u);
-    } else {
-      ASSERT_TRUE(response.ok()) << status_name(response.status) << ": " << response.message;
-      expect_valid_if_ok(response, graphs[static_cast<std::size_t>(i)]);
-      ++ok;
-    }
+  for (std::uint64_t id = kAdmitted + 1; id <= kBurst; ++id) {
+    const SolveResponse response = client.wait_for(id, std::chrono::milliseconds{20000});
+    ASSERT_EQ(response.status, SolveStatus::RejectedOverload) << status_name(response.status);
+    // The configured base is the floor; with admitted races pending, the
+    // hint stretches to their predicted drain time (capped at 60s) — a
+    // client told "123ms" against a held backlog would only bounce off
+    // the gate again.
+    EXPECT_GE(response.retry_after_ms, 123u);
+    EXPECT_LE(response.retry_after_ms, 60'000u);
   }
-  EXPECT_GE(ok, 1u);
-  EXPECT_GE(rejected, 1u);
-  const LabelingServer::Counters counters = server_->counters();
-  EXPECT_GE(counters.brownout_sheds, 1u);
-  EXPECT_EQ(counters.brownout_rejects, rejected);
+  EXPECT_TRUE(solver_->portfolio().heuristic_only());
 
-  // Load gone, fault gone: the ladder must fully release (hysteresis
-  // exits at half of each threshold, and pending is now zero) and a fresh
-  // request gets the full service again.
   fault::disarm_all();
+  for (std::uint64_t id = 1; id <= kAdmitted; ++id) {
+    const SolveResponse response = client.wait_for(id, std::chrono::milliseconds{20000});
+    ASSERT_TRUE(response.ok()) << status_name(response.status) << ": " << response.message;
+    expect_valid_if_ok(response, graphs[static_cast<std::size_t>(id - 1)]);
+  }
+  EXPECT_EQ(solver_->rejected_overload(), kBurst - kAdmitted);
+  EXPECT_EQ(solver_->metrics_registry().snapshot().counter_or("brownout_sheds"), 1u);
+  // Each admitted request left the pending count before its reply was
+  // sent, so with every reply in hand the rung has already released.
+  EXPECT_FALSE(solver_->portfolio().heuristic_only());
+
   const Graph fresh = random_with_diameter_at_most(12, 2, 0.3, rng);
   const SolveResponse after = client.solve_retry(request_for(fresh, 900));
   ASSERT_TRUE(after.ok()) << after.message;
   expect_valid_if_ok(after, fresh);
-  EXPECT_EQ(server_->brownout_level(), 0);
   client.shutdown();
 }
 
@@ -343,7 +339,6 @@ TEST_F(ChaosNetTest, MixedFaultScheduleNeverCrashesAndNeverLies) {
   const SolveResponse after = client.solve_retry(request_for(fresh, 999));
   ASSERT_TRUE(after.ok()) << after.message;
   expect_valid_if_ok(after, fresh);
-  EXPECT_EQ(server_->brownout_level(), 0);
   client.shutdown();
 }
 

@@ -15,8 +15,6 @@
 namespace lptsp {
 namespace {
 
-constexpr std::chrono::milliseconds kDeadline{250};
-
 TunerOptions fast_options() {
   TunerOptions options;
   options.decay_every = 8;
@@ -36,7 +34,7 @@ void feed_heuristic_wins(EngineTuner& tuner, int bucket, int count) {
 }
 
 TEST(EngineTuner, FreshBucketAlwaysAdmitsExact) {
-  EngineTuner tuner(fast_options(), kDeadline);
+  EngineTuner tuner(fast_options());
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(tuner.admit_exact(4));
   }
@@ -44,7 +42,7 @@ TEST(EngineTuner, FreshBucketAlwaysAdmitsExact) {
 }
 
 TEST(EngineTuner, TrimsAfterHeuristicDominanceButKeepsReprobing) {
-  EngineTuner tuner(fast_options(), kDeadline);
+  EngineTuner tuner(fast_options());
   feed_heuristic_wins(tuner, 4, 5);  // score 5 > skip_score 4, no exact wins
 
   int admitted = 0;
@@ -62,7 +60,7 @@ TEST(EngineTuner, TrimsAfterHeuristicDominanceButKeepsReprobing) {
 }
 
 TEST(EngineTuner, ReprobeWinsUntrimTheBucket) {
-  EngineTuner tuner(fast_options(), kDeadline);
+  EngineTuner tuner(fast_options());
   feed_heuristic_wins(tuner, 4, 5);
   ASSERT_FALSE(tuner.admit_exact(4));
 
@@ -75,7 +73,7 @@ TEST(EngineTuner, ReprobeWinsUntrimTheBucket) {
 TEST(EngineTuner, DecayAgesOutHeuristicDominance) {
   TunerOptions options = fast_options();
   options.reprobe_every = 0;  // no re-probe: only decay can recover this bucket
-  EngineTuner tuner(options, kDeadline);
+  EngineTuner tuner(options);
   feed_heuristic_wins(tuner, 4, 5);
   ASSERT_FALSE(tuner.admit_exact(4));
 
@@ -89,7 +87,7 @@ TEST(EngineTuner, DecayAgesOutHeuristicDominance) {
 }
 
 TEST(EngineTuner, RestoredPoisonedStateIsCappedAndRecoverable) {
-  EngineTuner tuner(fast_options(), kDeadline);
+  EngineTuner tuner(fast_options());
   // A poisoned persisted state: a huge heuristic score in bucket 4, zero
   // exact. Under the frozen rule this disabled the exact engine forever.
   TunerState poisoned;
@@ -117,7 +115,7 @@ TEST(EngineTuner, RestoreSanitizesScoresAndClampsEffort) {
   state[3] = {-5.0, std::numeric_limits<double>::quiet_NaN(), 10'000};
   state[4] = {std::numeric_limits<double>::infinity(), 2.5, -40};
   state[5] = {1.5, 0.0, 150};
-  EngineTuner tuner(fast_options(), kDeadline);
+  EngineTuner tuner(fast_options());
   tuner.restore(state);
   const TunerState got = tuner.snapshot();
   EXPECT_EQ(got[3], (TunerBucketState{0.0, 0.0, 400}));   // effort_max_percent
@@ -127,13 +125,13 @@ TEST(EngineTuner, RestoreSanitizesScoresAndClampsEffort) {
 
   TunerOptions fixed_effort = fast_options();
   fixed_effort.effort_update_every = 0;  // effort tuning off: stays at 100%
-  EngineTuner untuned(fixed_effort, kDeadline);
+  EngineTuner untuned(fixed_effort);
   untuned.restore(state);
   EXPECT_EQ(untuned.snapshot()[5], (TunerBucketState{1.5, 0.0, 100}));
 }
 
 TEST(EngineTuner, EffortShedsOnDeadlineMisses) {
-  EngineTuner tuner(fast_options(), kDeadline);
+  EngineTuner tuner(fast_options());
   ASSERT_EQ(tuner.effort(4).percent, 100);
   // Four races at a 10ms budget, all overrunning: the window closes with
   // 0% hits and effort steps down by 25.
@@ -147,7 +145,7 @@ TEST(EngineTuner, EffortShedsOnDeadlineMisses) {
 }
 
 TEST(EngineTuner, EffortRaisesOnComfortableSlack) {
-  EngineTuner tuner(fast_options(), kDeadline);
+  EngineTuner tuner(fast_options());
   // Every race finishes at 1ms of a 100ms budget: all hits, ~99% slack.
   for (int i = 0; i < 4; ++i) {
     tuner.observe_race(4, false, false, 1'000'000, 100);
@@ -158,7 +156,7 @@ TEST(EngineTuner, EffortRaisesOnComfortableSlack) {
 }
 
 TEST(EngineTuner, EffortIsClampedAtBothEnds) {
-  EngineTuner tuner(fast_options(), kDeadline);
+  EngineTuner tuner(fast_options());
   for (int round = 0; round < 16; ++round) {
     for (int i = 0; i < 4; ++i) tuner.observe_race(4, false, false, 50'000'000, 10);
   }
@@ -171,10 +169,11 @@ TEST(EngineTuner, EffortIsClampedAtBothEnds) {
 }
 
 TEST(EngineTuner, PredictedWorkFallsBackToBudgetAndIsCapped) {
-  EngineTuner tuner(fast_options(), kDeadline);
-  // No history: a request with a 40ms deadline prices at the full budget.
+  EngineTuner tuner(fast_options());
+  // No history: a request with a 40ms budget prices at the full budget.
   EXPECT_EQ(tuner.predicted_work_ns(12, 40), 40'000'000u);
-  // No deadline either: the service default (250ms) prices it.
+  // The budget arrives resolved, so 0 means unlimited (a pinned engine, or
+  // an unlimited service default) and prices at the fixed 250ms.
   EXPECT_EQ(tuner.predicted_work_ns(12, 0), 250'000'000u);
 
   // Eight slow observed races at this size: the quantile takes over, but
@@ -186,6 +185,9 @@ TEST(EngineTuner, PredictedWorkFallsBackToBudgetAndIsCapped) {
   // A generous deadline sees the raw quantile (log2-bucketed, so only
   // exact to within one bucket — but far above the 40ms fallback).
   EXPECT_GE(tuner.predicted_work_ns(12, 10'000), 500'000'000u);
+  // An unlimited budget has no cap: once history exists it prices the
+  // quantile too, not the cold-bucket 250ms.
+  EXPECT_EQ(tuner.predicted_work_ns(12, 0), tuner.predicted_work_ns(12, 10'000));
   // The floor: nothing is ever priced below 1us.
   EXPECT_GE(tuner.predicted_work_ns(1, 0), 1'000u);
 }
@@ -193,7 +195,7 @@ TEST(EngineTuner, PredictedWorkFallsBackToBudgetAndIsCapped) {
 TEST(EngineTuner, DisabledTunerIsInert) {
   TunerOptions options = fast_options();
   options.enabled = false;
-  EngineTuner tuner(options, kDeadline);
+  EngineTuner tuner(options);
   feed_heuristic_wins(tuner, 4, 20);
   EXPECT_TRUE(tuner.admit_exact(4));
   EXPECT_EQ(tuner.effort(4).percent, 100);
@@ -206,7 +208,7 @@ TEST(EngineTuner, DisabledTunerIsInert) {
 }
 
 TEST(EngineTuner, ToJsonListsOnlyObservedBuckets) {
-  EngineTuner tuner(fast_options(), kDeadline);
+  EngineTuner tuner(fast_options());
   const std::string empty = tuner.to_json();
   EXPECT_NE(empty.find("\"buckets\":[]"), std::string::npos);
 

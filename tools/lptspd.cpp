@@ -16,8 +16,7 @@
 ///          [--journal-cap=N] [--profile-json=PATH]
 ///          [--trace-keep=64] [--trace-slow-ms=0]
 ///          [--store-degraded-after=3] [--store-probe-ms=1000]
-///          [--brownout-heuristic-pending=N] [--brownout-reject-pending=N]
-///          [--brownout-retry-after-ms=250]
+///          [--brownout-heuristic-pending=N] [--brownout-retry-after-ms=250]
 ///          [--no-learn] [--learn-reprobe=16] [--learn-decay-every=64]
 ///          [--learn-effort-every=32] [--admission-work-budget=MS]
 ///
@@ -35,11 +34,12 @@
 /// for file-based collectors. --trace-keep bounds the in-memory ring of
 /// recent request traces; --trace-slow-ms keeps only requests slower than
 /// the threshold (0 keeps every request, newest win once full).
-/// The structured event journal (brownout rung changes, store
-/// degrade/heal, wire faults, fault-injection fires) is dumped as JSON —
-/// atomically, like the snapshot — to --journal-json=PATH (default:
-/// <stats-json>.journal when --stats-json is set) on SIGQUIT and on
-/// clean shutdown, so a postmortem always has the incident timeline.
+/// The structured event journal (brownout rung changes, overload
+/// rejections, store degrade/heal, wire faults, fault-injection fires) is
+/// dumped as JSON — atomically, like the snapshot — to --journal-json=PATH
+/// (default: <stats-json>.journal when --stats-json is set) on SIGQUIT
+/// and on clean shutdown, so a postmortem always has the incident
+/// timeline.
 /// --journal-cap=N resizes the journal ring (default 256 events); the
 /// sequence numbering is unaffected, so lptsp_stats --since cursors keep
 /// working across a resize. --profile-json=PATH dumps the work-attribution
@@ -57,13 +57,14 @@
 /// Degradation ladder: --store-degraded-after=K flips the durable store
 /// into read-only degraded mode after K consecutive write failures (0
 /// disables; serving continues from memory, the store_degraded gauge goes
-/// to 1, and a reopen/heal is probed every --store-probe-ms). The
-/// brownout rungs watch the pending-request gauge:
-/// --brownout-heuristic-pending forces heuristic-only solving past its
-/// threshold and --brownout-reject-pending rejects new requests with
-/// RejectedOverload + a --brownout-retry-after-ms hint; both release with
-/// hysteresis at half their threshold. When --max-pending is set, the
-/// rungs default to 1/2 and 3/4 of it (pass 0 to disable a rung).
+/// to 1, and a reopen/heal is probed every --store-probe-ms). Overload
+/// is decided in one place, the solver's admission: a request admitted
+/// with --brownout-heuristic-pending already pending (default half of
+/// --max-pending; 0 disables) forces heuristic-only solving until pending
+/// falls to half that, and --max-pending rejects, with no hysteresis.
+/// Every RejectedOverload carries a retry-after hint of
+/// --brownout-retry-after-ms, stretched to the predicted drain time of
+/// the pending work.
 /// Fault injection for drills: set LPTSP_FAULTS=site:prob:seed[:param],...
 /// (sites: store.append store.fsync store.compact_rename net.read_short
 /// net.write_short net.disconnect engine.stall).
@@ -155,6 +156,12 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(args.get_int("learn-effort-every", 32));
   solver_options.max_pending_work_ns =
       static_cast<std::uint64_t>(args.get_int("admission-work-budget", 0)) * 1'000'000ULL;
+  // Shed the exact engines at half the pending cap; the RejectedOverload
+  // at --max-pending stays the last resort.
+  solver_options.brownout_heuristic_pending = static_cast<std::size_t>(args.get_int(
+      "brownout-heuristic-pending", static_cast<int>(solver_options.max_pending_requests / 2)));
+  solver_options.retry_after_ms =
+      static_cast<std::uint32_t>(args.get_int("brownout-retry-after-ms", 250));
 
   std::string store_path = args.get("cache-file", "");
   const std::string state_dir = args.get("state-dir", "");
@@ -178,16 +185,6 @@ int main(int argc, char** argv) {
   server_options.max_connections = args.get_int("max-connections", 64);
   server_options.max_inflight_per_connection =
       static_cast<std::size_t>(args.get_int("max-inflight", 64));
-  // Brownout defaults derive from the admission bound: shed the exact
-  // engines at half the pending cap, refuse outright at three quarters —
-  // the hard RejectedOverload at --max-pending stays the last resort.
-  const std::size_t max_pending = solver_options.max_pending_requests;
-  server_options.brownout_heuristic_pending = static_cast<std::size_t>(
-      args.get_int("brownout-heuristic-pending", static_cast<int>(max_pending / 2)));
-  server_options.brownout_reject_pending = static_cast<std::size_t>(
-      args.get_int("brownout-reject-pending", static_cast<int>(max_pending * 3 / 4)));
-  server_options.brownout_retry_after_ms =
-      static_cast<std::uint32_t>(args.get_int("brownout-retry-after-ms", 250));
 
   const int stats_every = args.get_int("stats-every", 10);
   const std::string stats_json = args.get("stats-json", "");
@@ -238,10 +235,10 @@ int main(int argc, char** argv) {
               solver_options.engine_workers, solver_options.max_pending_requests,
               isa_tier_name(kernels::active_isa_tier()),
               isa_tier_name(kernels::detected_isa_tier()));
-  std::printf("lptspd: brownout heuristic/reject at %zu/%zu pending, retry-after=%ums; "
+  std::printf("lptspd: heuristic-only at %zu pending, reject at %zu, retry-after=%ums; "
               "store degraded after %d failures; journal-cap=%zu; faults armed: %s\n",
-              server_options.brownout_heuristic_pending,
-              server_options.brownout_reject_pending, server_options.brownout_retry_after_ms,
+              solver_options.brownout_heuristic_pending, solver_options.max_pending_requests,
+              solver_options.retry_after_ms,
               solver_options.store_degraded_after_failures, obs::journal().capacity(),
               fault::describe().c_str());
   if (solver_options.tuner.enabled) {

@@ -261,11 +261,13 @@ BatchSolver::CanonicalOutcome BatchSolver::solve_canonical(
       trace->spans.push_back({obs::Stage::EngineRace, nullptr, race_start,
                               obs::steady_now_ns() - race_begin, false, false});
       // One nested span per racing engine, synthesized from the attempt
-      // records (the engines themselves run on pool workers and never see
-      // the trace). They overlap their EngineRace parent, hence `nested`.
+      // records (the engines never see the trace), placed at each
+      // attempt's own start: a late-started heuristic draws late. They
+      // overlap their EngineRace parent, hence `nested`.
       for (const EngineAttempt& attempt : raced.attempts) {
+        const auto start_ns = static_cast<std::uint64_t>(attempt.start_seconds * 1e9);
         trace->spans.push_back({obs::Stage::EngineAttempt, engine_name_cstr(attempt.engine),
-                                race_start,
+                                race_start + start_ns,
                                 static_cast<std::uint64_t>(attempt.seconds * 1e9),
                                 raced.solution.cost >= 0 && attempt.engine == raced.winner,
                                 true});

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <functional>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <utility>
 
 #include "service/tuner.hpp"
@@ -12,11 +16,12 @@
 #include "tsp/held_karp.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
-#include "util/timer.hpp"
 
 namespace lptsp {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 struct Run {
   EngineAttempt attempt;
@@ -26,6 +31,63 @@ struct Run {
 bool is_exact(Engine engine) noexcept {
   return engine == Engine::HeldKarp || engine == Engine::BranchBound;
 }
+
+/// The race's heuristic attempt, queued on the engine pool but claimable
+/// by either side: a pool worker claims it when it reaches the task, or
+/// the racing thread claims it first and runs it itself, or closes it
+/// unstarted. Only a claimant runs the body, and the racing thread waits
+/// for a worker's claim to finish, so a closed attempt never touches the
+/// race's frame and needs no join.
+class ClaimableAttempt {
+ public:
+  explicit ClaimableAttempt(std::function<Run()> body) : body_(std::move(body)) {}
+
+  /// Pool side: run unless the racing thread has claimed or closed the
+  /// attempt first.
+  void run() {
+    {
+      const std::lock_guard lock(mutex_);
+      if (state_ != State::Pending) return;
+      state_ = State::Claimed;
+    }
+    try {
+      run_ = body_();
+    } catch (...) {
+      error_ = std::current_exception();
+    }
+    {
+      const std::lock_guard lock(mutex_);
+      state_ = State::Done;
+    }
+    done_.notify_all();
+  }
+
+  /// Racing-thread side: the attempt's result. Unclaimed, it is closed
+  /// (nullopt) when `close` is set and run here otherwise; claimed by a
+  /// worker, it is joined.
+  std::optional<Run> settle(bool close) {
+    std::unique_lock lock(mutex_);
+    if (state_ == State::Pending) {
+      state_ = close ? State::Closed : State::Claimed;
+      lock.unlock();
+      if (close) return std::nullopt;
+      return body_();
+    }
+    done_.wait(lock, [this] { return state_ == State::Done; });
+    if (error_) std::rethrow_exception(error_);
+    return std::move(run_);
+  }
+
+ private:
+  enum class State { Pending, Claimed, Closed, Done };
+
+  const std::function<Run()> body_;
+  std::mutex mutex_;
+  std::condition_variable done_;
+  State state_ = State::Pending;  ///< guarded by mutex_
+  Run run_;                       ///< a worker's result, once Done
+  std::exception_ptr error_;      ///< a worker's error, once Done
+};
 
 }  // namespace
 
@@ -42,7 +104,10 @@ int EnginePortfolio::slot_of(Engine engine) noexcept {
 
 PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
                                        std::optional<std::chrono::milliseconds> deadline_override) {
-  const Timer timer;
+  const Clock::time_point race_start = Clock::now();
+  const auto elapsed = [race_start] {
+    return std::chrono::duration<double>(Clock::now() - race_start).count();
+  };
   // Injected engine stall (chaos harness): burn wall time on this worker
   // before any engine starts, driving the pending gauge up the same way a
   // pathological instance would.
@@ -62,8 +127,8 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
     outcome.optimal = true;
     outcome.winner = Engine::BruteForce;
     outcome.attempts.push_back(
-        {Engine::BruteForce, true, true, true, outcome.solution.cost, timer.seconds(), {}});
-    outcome.seconds = timer.seconds();
+        {Engine::BruteForce, true, true, true, outcome.solution.cost, 0, elapsed(), {}});
+    outcome.seconds = elapsed();
     return outcome;
   }
 
@@ -102,65 +167,70 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
     run_exact = tuner_->admit_exact(bucket);
   }
 
-  // The one attempt runner: it times the engine, forfeits it on a
-  // precondition error (BranchBound's node limit), and cancels the rival
-  // from this attempt's own task when the attempt certifies an optimum —
-  // ties go to the optimal attempt, so the heuristic can no longer win —
-  // or throws, since the race then rethrows anyway.
+  // Every engine stops itself at the race deadline (polled beside the
+  // cancel flag), so no thread waits on a clock to cancel them.
+  const Clock::time_point until = deadline.count() > 0 ? race_start + deadline
+                                                       : Clock::time_point::max();
+
+  // The one attempt runner: it stamps the engine's start and run time,
+  // forfeits it on a precondition error (BranchBound's node limit), and
+  // cancels the rival from this attempt's own thread when the attempt
+  // certifies an optimum — ties go to the optimal attempt, so the
+  // heuristic can no longer win — or throws, since the race then rethrows
+  // anyway.
   std::atomic<bool> cancel{false};
-  std::vector<std::future<Run>> futures;
-  const auto launch = [this, &cancel, &futures](Engine engine, auto body) {
-    futures.push_back(pool_.submit([&cancel, engine, body]() -> Run {
-      const Timer attempt_timer;
-      Run run;
-      run.attempt.engine = engine;
+  const auto attempt = [&cancel, &elapsed](Engine engine, const auto& body) -> Run {
+    Run run;
+    run.attempt.engine = engine;
+    run.attempt.start_seconds = elapsed();
+    run.solution.cost = -1;
+    try {
+      body(run);
+    } catch (const precondition_error&) {
       run.solution.cost = -1;
-      try {
-        body(run);
-      } catch (const precondition_error&) {
-        run.solution.cost = -1;
-      } catch (...) {
-        cancel.store(true, std::memory_order_relaxed);
-        throw;
-      }
-      run.attempt.seconds = attempt_timer.seconds();
-      if (is_exact(engine) && run.attempt.finished && run.solution.cost >= 0) {
-        cancel.store(true, std::memory_order_relaxed);
-      }
-      return run;
-    }));
+    } catch (...) {
+      cancel.store(true, std::memory_order_relaxed);
+      throw;
+    }
+    run.attempt.seconds = elapsed() - run.attempt.start_seconds;
+    if (is_exact(engine) && run.attempt.finished && run.solution.cost >= 0) {
+      cancel.store(true, std::memory_order_relaxed);
+    }
+    return run;
   };
-
-  if (run_exact) {
-    launch(exact_engine, [this, &instance, &cancel, exact_engine, effort](Run& run) {
-      if (exact_engine == Engine::HeldKarp) {
-        HeldKarpOptions hk;
-        hk.cancel = &cancel;
-        HeldKarpRun result = held_karp_path_run(instance, hk);
-        run.solution = std::move(result.solution);
-        run.attempt.finished = result.completed;
-        run.attempt.work.hk_layers = result.layers;
-        run.attempt.work.hk_cells = result.cells;
-      } else {
-        BranchBoundOptions bb;
-        // Effort-scaled search cap, floored so a harshly down-tuned
-        // bucket still explores enough nodes to beat a greedy tour.
-        bb.node_limit =
-            std::max<long long>(100'000, options_.bb_node_limit * effort.percent / 100);
-        bb.cancel = &cancel;
-        BranchBoundRun result = branch_bound_path_run(instance, bb);
-        run.solution = std::move(result.solution);
-        run.attempt.finished = result.completed;
-        run.attempt.work.bb_nodes = static_cast<std::uint64_t>(result.nodes);
-        run.attempt.work.bb_pruned = static_cast<std::uint64_t>(result.pruned);
-      }
-    });
-  }
-
-  launch(Engine::ChainedLK, [this, &instance, &cancel, n, effort](Run& run) {
+  const auto exact_body = [this, &instance, &cancel, until, exact_engine, effort](Run& run) {
+    // Chaos and test hook: hold the exact engine alone, as a slow exact
+    // search would, while its rival runs.
+    fault::maybe_stall(FaultSite::EngineExactStall);
+    if (exact_engine == Engine::HeldKarp) {
+      HeldKarpOptions hk;
+      hk.cancel = &cancel;
+      hk.deadline = until;
+      HeldKarpRun result = held_karp_path_run(instance, hk);
+      run.solution = std::move(result.solution);
+      run.attempt.finished = result.completed;
+      run.attempt.work.hk_layers = result.layers;
+      run.attempt.work.hk_cells = result.cells;
+    } else {
+      BranchBoundOptions bb;
+      // Effort-scaled search cap, floored so a harshly down-tuned
+      // bucket still explores enough nodes to beat a greedy tour.
+      bb.node_limit =
+          std::max<long long>(100'000, options_.bb_node_limit * effort.percent / 100);
+      bb.cancel = &cancel;
+      bb.deadline = until;
+      BranchBoundRun result = branch_bound_path_run(instance, bb);
+      run.solution = std::move(result.solution);
+      run.attempt.finished = result.completed;
+      run.attempt.work.bb_nodes = static_cast<std::uint64_t>(result.nodes);
+      run.attempt.work.bb_pruned = static_cast<std::uint64_t>(result.pruned);
+    }
+  };
+  const auto heuristic_body = [this, &instance, &cancel, until, n, effort](Run& run) {
     ChainedLkOptions lk;
     lk.seed = options_.seed;
     lk.cancel = &cancel;
+    lk.deadline = until;
     // Scale kick effort down as n grows so one kick round stays well under
     // typical deadlines and the cancel flag is polled often; the tuner's
     // learned per-bucket effort then scales that baseline up or down.
@@ -173,29 +243,49 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
     run.attempt.work.lk_accepted = result.accepted;
     run.attempt.work.lk_wakes = result.wakes;
     run.attempt.work.lk_moves = result.moves;
-  });
+  };
 
-  // One join pass: wait for every attempt until the deadline, cancel what
-  // still runs, join. Every future must be joined even when one throws
-  // (invariant errors, bad_alloc): the tasks reference this frame's
-  // `cancel` and the caller's instance, so abandoning one on unwind would
-  // be a use-after-free.
-  const auto until = deadline.count() > 0
-                         ? std::chrono::steady_clock::now() + deadline
-                         : std::chrono::steady_clock::time_point::max();
-  for (auto& future : futures) future.wait_until(until);
-  cancel.store(true, std::memory_order_relaxed);
   std::vector<Run> runs;
-  runs.reserve(futures.size());
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      runs.push_back(future.get());
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  if (!run_exact) {
+    runs.push_back(attempt(Engine::ChainedLK, heuristic_body));
+  } else {
+    // Branch-and-bound runs on this thread, saving a pool hop. Held–Karp
+    // keeps an engine-pool task: run on request workers, its 2^n * n
+    // table lands in those threads' glibc malloc arenas, which also hold
+    // long-lived cache entries, so the arenas keep the freed table
+    // resident (cold_exact peak RSS 57.6 -> 62.8 MB on a 4-vCPU VM; both
+    // 14.4 MB under MALLOC_ARENA_MAX=1). Chained-LK is queued on the pool
+    // at once.
+    const auto heuristic = std::make_shared<ClaimableAttempt>(
+        [&] { return attempt(Engine::ChainedLK, heuristic_body); });
+    std::future<Run> held_karp;
+    if (exact_engine == Engine::HeldKarp) {
+      held_karp = pool_.submit([&] { return attempt(Engine::HeldKarp, exact_body); });
     }
+    (void)pool_.submit([heuristic] { heuristic->run(); });
+
+    Run exact;
+    try {
+      exact = exact_engine == Engine::HeldKarp ? held_karp.get()
+                                               : attempt(exact_engine, exact_body);
+    } catch (...) {
+      // The heuristic references this frame: close or join it first (the
+      // failed attempt has already cancelled it).
+      try {
+        (void)heuristic->settle(true);
+      } catch (...) {
+      }
+      throw;
+    }
+    // Under a tuner, which owns race composition, a certified optimum
+    // closes a heuristic no worker has started. Otherwise the heuristic
+    // runs here unless a worker took it, whose run is joined: a tuner-less
+    // race always runs both engines.
+    const bool certified = exact.attempt.finished && exact.solution.cost >= 0;
+    std::optional<Run> rival = heuristic->settle(certified && tuner_ != nullptr);
+    runs.push_back(std::move(exact));
+    if (rival.has_value()) runs.push_back(std::move(*rival));
   }
-  if (first_error) std::rethrow_exception(first_error);
 
   int best = -1;
   int verified_attempts = 0;
@@ -232,22 +322,25 @@ PortfolioOutcome EnginePortfolio::race(const MetricInstance& instance,
     outcome.solution.cost = -1;  // no engine verified — caller reports EngineFailure
     races_failed_.add();
   }
-  outcome.seconds = timer.seconds();
+  outcome.seconds = elapsed();
   if (best >= 0 && runs.size() >= 2) {
     // What the race added over its winner: dispatch, cancel latency and
-    // the join of the losing engine.
+    // the join of the losing engine. Races the exact engine ran alone add
+    // no sample.
     const double winner_seconds = runs[static_cast<std::size_t>(best)].attempt.seconds;
     race_overhead_.record(
         static_cast<std::uint64_t>(std::max(0.0, outcome.seconds - winner_seconds) * 1e9));
   }
   if (tuner_ != nullptr) {
-    // Feed the race back. Only contested races move the win scores:
-    // walkovers — including races where a cancelled Held–Karp forfeited
-    // without a solution — would make an exact-engine skip
-    // self-reinforcing. They still teach the latency predictor and the
-    // effort windows — real costs the admission gate must price.
+    // Feed the race back. Only contested races move the win scores — and
+    // a certified optimum counts as contested even when it closed the
+    // heuristic unstarted, since ties go to the optimum and the heuristic
+    // could not have won. Walkovers — including races where a cancelled
+    // Held–Karp forfeited without a solution — would make an exact-engine
+    // skip self-reinforcing. They still teach the latency predictor and
+    // the effort windows — real costs the admission gate must price.
     tuner_->observe_race(bucket, best >= 0 && is_exact(outcome.winner),
-                         best >= 0 && verified_attempts >= 2,
+                         best >= 0 && (verified_attempts >= 2 || outcome.optimal),
                          static_cast<std::uint64_t>(outcome.seconds * 1e9), deadline.count());
   }
   return outcome;

@@ -20,8 +20,9 @@ class EngineTuner;
 
 struct PortfolioOptions {
   /// Default per-race wall-clock budget; 0 = run every engine to
-  /// completion. Cancellable engines (BranchBound, ChainedLK) are stopped
-  /// at the deadline and contribute their incumbent.
+  /// completion. Each engine polls the deadline itself, where it polls the
+  /// race's cancel flag: BranchBound and ChainedLK stop there and
+  /// contribute their incumbent, Held–Karp forfeits.
   std::chrono::milliseconds deadline{250};
   /// Held–Karp takes the exact slot up to this n (its 2^n * n memory cap).
   /// The DP polls the race's cancel flag at layer boundaries, so it races
@@ -41,7 +42,8 @@ struct EngineAttempt {
   bool verified = false;   ///< order is a permutation and cost re-checks
   bool optimal = false;    ///< exact engine AND finished
   Weight cost = -1;
-  double seconds = 0;
+  double start_seconds = 0;  ///< when the attempt started, from race start
+  double seconds = 0;        ///< how long it ran
   obs::EngineWork work;    ///< work this attempt performed (its fields only)
 };
 
@@ -54,16 +56,19 @@ struct PortfolioOutcome {
   obs::EngineWork work;    ///< all attempts' work, merged
 };
 
-/// Deadline-aware engine racing. Each race launches an exact engine
-/// (Held–Karp for small n, BranchBound above) and the strongest heuristic
-/// (ChainedLK) concurrently on a TaskPool and returns the best result among
-/// those that verify (permutation check + independent cost recomputation).
-/// Two parties cancel: an exact engine that certifies an optimum cancels
-/// its rival from its own task the moment it finishes, and the calling
-/// thread cancels whatever still runs at the deadline before joining every
-/// attempt. What the races teach — whether to launch the exact engine, and
-/// how hard each engine works — is learned per size bucket by an attached
-/// EngineTuner.
+/// Deadline-aware engine racing. Each race runs an exact engine
+/// (Held–Karp for small n, on a TaskPool worker; BranchBound above, on the
+/// calling thread) against the strongest heuristic (ChainedLK), queued on
+/// the pool at once. An exact engine that certifies an optimum cancels its
+/// rival from its own attempt; under an attached tuner it also closes the
+/// heuristic if no worker has started it yet, so on instances the exact
+/// engine certifies quickly the heuristic never runs. A tuner-less race
+/// always runs both engines, and an uncertified finish runs the heuristic
+/// on the calling thread if no worker has taken it. The race returns the
+/// best result among those that verify (permutation check + independent
+/// cost recomputation). Every engine stops itself at the deadline. What
+/// the races teach — whether to launch the exact engine and how hard each
+/// engine works — is learned per size bucket by an attached EngineTuner.
 class EnginePortfolio {
  public:
   explicit EnginePortfolio(TaskPool& pool, const PortfolioOptions& options = {});
@@ -82,10 +87,11 @@ class EnginePortfolio {
 
   /// Attach the learning layer (not owned; must outlive every race).
   /// When attached, race() consults the tuner for the exact-engine
-  /// pre-trim decision and per-bucket effort, and reports every finished
-  /// race back; without one, every race launches the exact engine at
-  /// 100% effort. Call before serving traffic — attachment is not
-  /// synchronized against in-flight races.
+  /// pre-trim decision and per-bucket effort, lets a certifying exact
+  /// engine close the unstarted heuristic, and reports every finished race
+  /// back; without one, every race runs both engines at 100% effort.
+  /// Call before serving traffic — attachment is not synchronized against
+  /// in-flight races.
   void attach_tuner(EngineTuner* tuner) noexcept { tuner_ = tuner; }
 
   /// Brownout override (the heuristic-only rung of BatchSolver's
@@ -128,7 +134,8 @@ class EnginePortfolio {
   std::array<obs::Counter, kSlots> slot_wins_;
   std::array<obs::Counter, kSlots> slot_cancelled_;
   std::array<obs::LatencyHistogram, kSlots> slot_latency_;
-  /// Race wall time minus the winning attempt's, per race of two engines.
+  /// Race wall time minus the winning attempt's, per race that ran both
+  /// engines (none when the exact engine closed the heuristic).
   obs::LatencyHistogram race_overhead_;
   obs::WorkCounters work_;
 };

@@ -128,9 +128,9 @@ class EngineTuner {
   [[nodiscard]] bool admit_exact(int bucket);
 
   /// Feed one finished race back. `contested` means >= 2 verified
-  /// attempts; only contested races move the win scores, but every race
-  /// feeds the latency predictor and — when deadline-bounded — the effort
-  /// window.
+  /// attempts, or a certified optimum no rival could have beaten; only
+  /// contested races move the win scores, but every race feeds the
+  /// latency predictor and — when deadline-bounded — the effort window.
   void observe_race(int bucket, bool exact_won, bool contested, std::uint64_t race_ns,
                     std::int64_t deadline_ms);
 

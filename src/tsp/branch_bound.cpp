@@ -6,8 +6,9 @@
 
 #include "tsp/construct.hpp"
 #include "tsp/local_search.hpp"
+#include "tsp/lower_bounds.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace lptsp {
 
@@ -40,6 +41,7 @@ struct Search {
   const MetricInstance& instance;
   const long long node_limit;
   const std::atomic<bool>* cancel;
+  const std::chrono::steady_clock::time_point deadline;
   long long nodes = 0;
   long long pruned = 0;
   bool cancelled = false;
@@ -52,6 +54,7 @@ struct Search {
       : instance(inst),
         node_limit(options.node_limit),
         cancel(options.cancel),
+        deadline(options.deadline),
         incumbent_cost(warm_start.cost),
         incumbent(std::move(warm_start.order)),
         used(static_cast<std::size_t>(inst.n()), false) {
@@ -80,10 +83,10 @@ struct Search {
     ++nodes;
     LPTSP_REQUIRE(node_limit == 0 || nodes <= node_limit,
                   "branch-and-bound node limit exceeded — use Held-Karp or a heuristic engine");
-    // Poll the cancel flag sparsely: an atomic load per node would be
-    // measurable on the millions-of-nodes searches this engine exists for.
-    if (cancel != nullptr && (nodes & 1023) == 0 &&
-        cancel->load(std::memory_order_relaxed)) {
+    // Poll the cancel flag and the deadline sparsely: an atomic load and
+    // a clock read per node would be measurable on the millions-of-nodes
+    // searches this engine exists for.
+    if ((nodes & 1023) == 0 && stop_requested(cancel, deadline)) {
       cancelled = true;
       return;
     }
@@ -128,12 +131,16 @@ BranchBoundRun branch_bound_path_run(const MetricInstance& instance,
   LPTSP_REQUIRE(n >= 1, "instance must be non-empty");
   if (n == 1) return {{{0}, 0}, true, 0, 0};
 
-  // Warm start: NN + VND gives a strong incumbent so pruning bites from
-  // the first branch.
-  Rng rng(0x5bd1e995);
+  // Warm start: NN, then VND when NN is not already on the trivial bound,
+  // gives a strong incumbent so pruning bites from the first branch. A
+  // warm start on the bound is optimal as it stands: one node, no search.
+  const Weight floor = trivial_lower_bound(instance);
   PathSolution warm = nearest_neighbor_path(instance, 0);
-  vnd(instance, warm.order);
-  warm.cost = path_length(instance, warm.order);
+  if (warm.cost > floor) {
+    vnd(instance, warm.order);
+    warm.cost = path_length(instance, warm.order);
+  }
+  if (warm.cost == floor) return {std::move(warm), true, 1, 0};
 
   Search search(instance, options, std::move(warm));
   search.dfs(0);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 
 #include "tsp/path.hpp"
 
@@ -19,6 +20,9 @@ struct BranchBoundOptions {
   /// result is feasible but NOT certified optimal — see BranchBoundRun /
   /// branch_bound_path_run for the completed flag.
   const std::atomic<bool>* cancel = nullptr;
+  /// Wall-clock deadline, polled wherever `cancel` is; passing it counts
+  /// as a cancel (max() = none).
+  std::chrono::steady_clock::time_point deadline = std::chrono::steady_clock::time_point::max();
 };
 
 /// Exact Path TSP by depth-first branch and bound.
@@ -31,6 +35,9 @@ struct BranchBoundOptions {
 /// cheapest link from the current endpoint into the remainder must stay
 /// below the incumbent (the MST part is a valid completion lower bound
 /// because any completion is a spanning connected subgraph of the rest).
+/// A warm start that meets the trivial bound (n-1) * min weight is
+/// returned at once, certified, without searching: on the paper's
+/// diameter-2 L(2,1) instances that is the common case.
 PathSolution branch_bound_path(const MetricInstance& instance,
                                const BranchBoundOptions& options = {});
 

@@ -8,6 +8,7 @@
 #include "tsp/local_search.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace lptsp {
 
@@ -53,6 +54,14 @@ ChainedLkRun chained_lk_path_run(const MetricInstance& instance, const ChainedLk
     return {lin_kernighan_style_path(instance, rng), true};
   }
 
+  if (stop_requested(options.cancel, options.deadline)) {
+    // Cancelled before it began (a rival already certified, or the
+    // deadline passed): restart 0's starting path is the answer, and
+    // candidate lists would be wasted.
+    Rng rng(options.seed + 0x9e3779b97f4a7c15ULL);
+    return {nearest_neighbor_path(instance, rng.uniform_int(0, instance.n() - 1)), false};
+  }
+
   // One candidate set per run, shared read-only across every restart and
   // every kick; each restart owns its optimizer (position array, don't-look
   // queue) so restarts stay independent and parallel-safe.
@@ -69,22 +78,21 @@ ChainedLkRun chained_lk_path_run(const MetricInstance& instance, const ChainedLk
   std::uint64_t total_wakes = 0;
   std::uint64_t total_moves = 0;
 
-  const auto cancelled = [&options] {
-    return options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed);
-  };
+  const auto cancelled = [&options] { return stop_requested(options.cancel, options.deadline); };
 
   const auto run_restart = [&](std::size_t restart) {
-    // Restart 0 always runs to completion so a cancelled call still yields
-    // a feasible solution; later restarts are pure improvement and skip
-    // their (expensive) initial optimization once the flag is up.
+    // Restart 0 always builds a path so a cancelled call still yields a
+    // feasible solution (its optimizer stops at the next move boundary
+    // once the flag is up); later restarts are pure improvement and skip
+    // their (expensive) initial optimization once cancelled.
     if (restart > 0 && cancelled()) {
       truncated.store(true, std::memory_order_relaxed);
       return;
     }
     Rng rng(options.seed + 0x9e3779b97f4a7c15ULL * (restart + 1));
-    PathOptimizer optimizer(instance, candidates);
+    PathOptimizer optimizer(instance, candidates, options.cancel);
     PathSolution best = nearest_neighbor_path(instance, rng.uniform_int(0, instance.n() - 1));
-    optimizer.optimize(best.order);
+    if (!optimizer.optimize(best.order)) truncated.store(true, std::memory_order_relaxed);
     best.cost = path_length(instance, best.order);
     std::vector<int> wake;
     int kick = 0;
@@ -95,12 +103,17 @@ ChainedLkRun chained_lk_path_run(const MetricInstance& instance, const ChainedLk
       // The kick changed exactly three edges, so waking their endpoints is
       // enough — the optimizer re-examines further vertices only when an
       // applied move reaches them.
-      optimizer.optimize(perturbed, wake);
+      const bool whole = optimizer.optimize(perturbed, wake);
       const Weight cost = path_length(instance, perturbed);
       if (cost < best.cost) {
         best.order = std::move(perturbed);
         best.cost = cost;
         ++accepted;
+      }
+      if (!whole) {  // cancelled mid-kick
+        ++kick;
+        truncated.store(true, std::memory_order_relaxed);
+        break;
       }
     }
     if (kick < options.kicks) truncated.store(true, std::memory_order_relaxed);

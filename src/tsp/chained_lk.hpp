@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 
 #include "tsp/path.hpp"
@@ -15,10 +16,15 @@ struct ChainedLkOptions {
   std::uint64_t seed = 1; ///< master seed; restarts derive child streams
   unsigned threads = 1;   ///< 1 = serial; any other value = the shared pool
   /// Cooperative cancellation for deadline-racing callers: when non-null
-  /// and set, each restart stops kicking and the best tour found so far is
-  /// returned. The first local optimization of each restart always runs,
-  /// so a cancelled call still yields a feasible solution.
+  /// and set, each restart stops at its next move or kick and the best
+  /// path found so far is returned. Restart 0 always builds its starting
+  /// path and keeps every move it applied before the cancel, so a
+  /// cancelled call still yields a feasible solution.
   const std::atomic<bool>* cancel = nullptr;
+  /// Wall-clock deadline, polled like `cancel` before the run, per restart
+  /// and per kick (max() = none). Restart 0's first optimization ignores
+  /// it.
+  std::chrono::steady_clock::time_point deadline = std::chrono::steady_clock::time_point::max();
 };
 
 /// Chained LK in the sense of Applegate–Cook–Rohe: local-optimize, then

@@ -8,6 +8,7 @@
 #include "kernels/kernels.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace lptsp {
 
@@ -25,8 +26,9 @@ auto hk_min_kernel(const kernels::KernelTable& kt) {
   }
 }
 
-/// Serial cancel-poll stride: cheap enough to be unmeasurable, fine enough
-/// that a 250 ms portfolio deadline stops the DP within a few ms.
+/// Serial cancel- and deadline-poll stride: cheap enough to be
+/// unmeasurable, fine enough that a 250 ms portfolio deadline stops the DP
+/// within a few ms.
 constexpr std::uint32_t kCancelStride = 1u << 14;
 
 /// All subsets of {0..n-1} with the given popcount, ascending (Gosper).
@@ -54,9 +56,7 @@ HeldKarpRun held_karp_dp(const MetricInstance& instance, const HeldKarpOptions& 
   const int n = instance.n();
   constexpr Cost kInf = std::numeric_limits<Cost>::max() / 2;
 
-  const auto cancelled = [&options] {
-    return options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed);
-  };
+  const auto cancelled = [&options] { return stop_requested(options.cancel, options.deadline); };
   // An already-cancelled run must not pay for the table: at the cap the DP
   // allocates and fills hundreds of MB before the first layer boundary.
   if (cancelled()) return {{{}, -1}, false};

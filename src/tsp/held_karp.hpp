@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 
 #include "tsp/path.hpp"
@@ -27,6 +28,9 @@ struct HeldKarpOptions {
   /// returns promptly, which is what lets Held–Karp join portfolio races
   /// whose deadline it might miss.
   const std::atomic<bool>* cancel = nullptr;
+  /// Wall-clock deadline, polled wherever `cancel` is; passing it counts
+  /// as a cancel (max() = none).
+  std::chrono::steady_clock::time_point deadline = std::chrono::steady_clock::time_point::max();
 };
 
 /// held_karp_path plus the metadata racing callers need: whether the DP ran

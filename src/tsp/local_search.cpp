@@ -157,8 +157,9 @@ PathOptimizer::PathOptimizer(const MetricInstance& instance, int k)
   queue_.reserve(n);
 }
 
-PathOptimizer::PathOptimizer(const MetricInstance& instance, const CandidateLists& candidates)
-    : instance_(instance), cand_(&candidates) {
+PathOptimizer::PathOptimizer(const MetricInstance& instance, const CandidateLists& candidates,
+                             const std::atomic<bool>* cancel)
+    : instance_(instance), cand_(&candidates), cancel_(cancel) {
   LPTSP_REQUIRE(candidates.n() == instance.n(),
                 "candidate lists were built for a different instance size");
   const std::size_t n = static_cast<std::size_t>(instance.n());
@@ -175,33 +176,43 @@ void PathOptimizer::wake(int v) {
   }
 }
 
-void PathOptimizer::optimize(Order& order) {
+bool PathOptimizer::optimize(Order& order) {
   LPTSP_REQUIRE(is_valid_order(order, instance_.n()), "order must be a permutation of vertices");
   for (int v = 0; v < instance_.n(); ++v) wake(v);
-  run(order);
+  return run(order);
 }
 
-void PathOptimizer::optimize(Order& order, const std::vector<int>& wake_vertices) {
+bool PathOptimizer::optimize(Order& order, const std::vector<int>& wake_vertices) {
   LPTSP_REQUIRE(is_valid_order(order, instance_.n()), "order must be a permutation of vertices");
   for (const int v : wake_vertices) {
     LPTSP_REQUIRE(v >= 0 && v < instance_.n(), "wake vertex out of range");
     wake(v);
   }
-  run(order);
+  return run(order);
 }
 
-void PathOptimizer::run(Order& order) {
+bool PathOptimizer::run(Order& order) {
   for (std::size_t i = 0; i < order.size(); ++i) pos_[static_cast<std::size_t>(order[i])] =
       static_cast<int>(i);
+  const auto cancelled = [this] {
+    return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
+  };
   while (!queue_.empty()) {
     const int x = queue_.back();
     queue_.pop_back();
     queued_[static_cast<std::size_t>(x)] = 0;
     // Re-anchor at x until no move anchored there improves; every applied
-    // move re-wakes the vertices whose incident edges it changed.
-    while (improve_vertex(order, x)) {
-    }
+    // move re-wakes the vertices whose incident edges it changed. Cancel
+    // is polled between moves, each of which leaves a valid order.
+    do {
+      if (cancelled()) {
+        for (const int v : queue_) queued_[static_cast<std::size_t>(v)] = 0;
+        queue_.clear();
+        return false;
+      }
+    } while (improve_vertex(order, x));
   }
+  return true;
 }
 
 bool PathOptimizer::improve_vertex(Order& order, int x) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -58,20 +59,25 @@ class PathOptimizer {
   explicit PathOptimizer(const MetricInstance& instance, int k = CandidateLists::kDefaultK);
 
   /// Shares prebuilt lists (must outlive the optimizer). ChainedLK builds
-  /// one CandidateLists and hands it to every restart's optimizer.
-  PathOptimizer(const MetricInstance& instance, const CandidateLists& candidates);
+  /// one CandidateLists and hands it to every restart's optimizer. When
+  /// `cancel` is non-null and set, optimize() stops at the next move
+  /// boundary: every applied move keeps a permutation, so the order stays
+  /// a feasible path, just not a local optimum.
+  PathOptimizer(const MetricInstance& instance, const CandidateLists& candidates,
+                const std::atomic<bool>* cancel = nullptr);
 
   PathOptimizer(const PathOptimizer&) = delete;
   PathOptimizer& operator=(const PathOptimizer&) = delete;
 
   /// Optimize to a candidate-local optimum, examining every vertex.
-  void optimize(Order& order);
+  /// Returns false when the cancel flag stopped it first.
+  bool optimize(Order& order);
 
   /// Re-optimize after a localized perturbation: only `wake` vertices (and
   /// transitively, vertices whose incident path edges later change) are
   /// examined. This is what makes a ChainedLK kick cycle near-O(1) instead
-  /// of a full O(n k) rescan.
-  void optimize(Order& order, const std::vector<int>& wake);
+  /// of a full O(n k) rescan. Returns false when cancelled, as above.
+  bool optimize(Order& order, const std::vector<int>& wake);
 
   [[nodiscard]] const CandidateLists& candidates() const noexcept { return *cand_; }
 
@@ -79,7 +85,7 @@ class PathOptimizer {
   void reset_stats() noexcept { stats_ = {}; }
 
  private:
-  void run(Order& order);
+  bool run(Order& order);
   bool improve_vertex(Order& order, int x);
   bool try_two_opt(Order& order, int x);
   bool try_or_opt(Order& order, int x);
@@ -91,6 +97,7 @@ class PathOptimizer {
   const MetricInstance& instance_;
   CandidateLists owned_;
   const CandidateLists* cand_;
+  const std::atomic<bool>* cancel_ = nullptr;
   int max_segment_ = 3;
   std::vector<int> pos_;             // pos_[vertex] = index in order
   std::vector<std::uint8_t> queued_;

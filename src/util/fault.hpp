@@ -35,9 +35,10 @@ enum class FaultSite : std::uint8_t {
   NetWriteShort,       ///< socket writes truncated to one byte
   NetDisconnect,       ///< connection reset injected at the transport
   EngineStall,         ///< artificial sleep on the engine-race path
+  EngineExactStall,    ///< artificial sleep at the start of a race's exact attempt
 };
 
-inline constexpr std::size_t kFaultSiteCount = 7;
+inline constexpr std::size_t kFaultSiteCount = 8;
 
 /// Compile-checked site names (no default + -Werror=switch: an unnamed
 /// new enumerator fails the build). These are the LPTSP_FAULTS spellings.
@@ -50,6 +51,7 @@ constexpr const char* fault_site_name(FaultSite site) noexcept {
     case FaultSite::NetWriteShort: return "net.write_short";
     case FaultSite::NetDisconnect: return "net.disconnect";
     case FaultSite::EngineStall: return "engine.stall";
+    case FaultSite::EngineExactStall: return "engine.exact_stall";
   }
   return "unknown";  // out-of-range cast, not a missing enumerator
 }
@@ -80,8 +82,9 @@ inline bool should_fail(FaultSite site) {
 /// Arm `site`: each crossing fails with `probability`, drawn from a
 /// deterministic stream seeded by `seed`. `max_fires` > 0 caps the total
 /// number of failures (a one-shot fault is prob=1, max_fires=1);
-/// `param` is a site-specific argument — for engine.stall, milliseconds
-/// to sleep (default 25). Re-arming resets the stream and the fire count.
+/// `param` is a site-specific argument — for engine.stall and
+/// engine.exact_stall, milliseconds to sleep (default 25). Re-arming
+/// resets the stream and the fire count.
 void arm(FaultSite site, double probability, std::uint64_t seed, std::uint64_t max_fires = 0,
          std::uint64_t param = 0);
 
@@ -96,8 +99,9 @@ void disarm_all();
 
 /// Sleep for the site's param milliseconds (default 25) when the site
 /// fires, or until the site is disarmed, whichever comes first. The stall
-/// helper for FaultSite::EngineStall: a test holds an engine race with a
-/// long one-shot stall and releases it by disarming.
+/// helper for FaultSite::EngineStall and EngineExactStall: a test holds an
+/// engine race (or only its exact engine) with a long one-shot stall and
+/// releases it by disarming.
 void maybe_stall(FaultSite site);
 
 /// Parse and apply one LPTSP_FAULTS spec ("site:prob:seed[:param],...").

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 
 namespace lptsp {
@@ -24,5 +25,14 @@ class Timer {
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
 };
+
+/// The stop test racing engines poll: `cancel` is set, or `deadline` has
+/// passed. A max() deadline means none and costs no clock read.
+[[nodiscard]] inline bool stop_requested(const std::atomic<bool>* cancel,
+                                         std::chrono::steady_clock::time_point deadline) noexcept {
+  return (cancel != nullptr && cancel->load(std::memory_order_relaxed)) ||
+         (deadline != std::chrono::steady_clock::time_point::max() &&
+          std::chrono::steady_clock::now() >= deadline);
+}
 
 }  // namespace lptsp

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/reduction.hpp"
 #include "graph/generators.hpp"
 #include "tsp/branch_bound.hpp"
 #include "tsp/brute_force.hpp"
 #include "tsp/held_karp.hpp"
+#include "tsp/lower_bounds.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -48,7 +51,53 @@ TEST_P(BranchBoundCross, MatchesHeldKarpOnReducedInstances) {
   EXPECT_EQ(branch_bound_path(reduced.instance).cost, held_karp_path(reduced.instance).cost);
 }
 
+TEST_P(BranchBoundCross, BoundCertifiedRunsMatchHeldKarpUpToN14) {
+  // A warm start on the trivial bound returns at one node without a
+  // search; that early return must never cut off a cheaper path.
+  for (int n = 4; n <= 14; ++n) {
+    const Graph graph = random_with_diameter_at_most(n, 2, 0.3, rng_);
+    const auto reduced = reduce_to_path_tsp(graph, PVec::L21());
+    const BranchBoundRun run = branch_bound_path_run(reduced.instance);
+    EXPECT_TRUE(run.completed);
+    EXPECT_EQ(run.solution.cost, held_karp_path(reduced.instance).cost) << "n = " << n;
+    EXPECT_TRUE(is_valid_order(run.solution.order, n));
+    EXPECT_EQ(path_length(reduced.instance, run.solution.order), run.solution.cost);
+    if (run.nodes == 1 && run.pruned == 0) {  // the early return; a root prune counts 1
+      EXPECT_EQ(run.solution.cost, trivial_lower_bound(reduced.instance)) << "n = " << n;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BranchBoundCross, ::testing::Range(0, 8));
+
+TEST(BranchBound, WarmStartOnTheTrivialBoundCertifiesAtOneNode) {
+  // Every edge weighs 1: nearest neighbour is already on (n-1) * 1.
+  MetricInstance instance(10);
+  for (int i = 0; i < 10; ++i) {
+    for (int j = i + 1; j < 10; ++j) instance.set_weight(i, j, 1);
+  }
+  const BranchBoundRun run = branch_bound_path_run(instance);
+  EXPECT_TRUE(run.completed);
+  EXPECT_EQ(run.nodes, 1);
+  EXPECT_EQ(run.solution.cost, 9);
+  EXPECT_TRUE(is_valid_order(run.solution.order, 10));
+}
+
+TEST(BranchBound, PassedDeadlineStopsWithAFeasibleIncumbent) {
+  // One weight-1 edge and the rest in [2, 9]: no path meets the trivial
+  // bound of 29, so the search runs until its first deadline poll.
+  Rng rng(13);
+  MetricInstance instance = random_instance(30, rng, 2, 9);
+  instance.set_weight(0, 1, 1);
+  BranchBoundOptions options;
+  options.node_limit = 0;
+  options.deadline = std::chrono::steady_clock::now() - std::chrono::seconds{1};
+  const BranchBoundRun run = branch_bound_path_run(instance, options);
+  EXPECT_FALSE(run.completed);
+  EXPECT_EQ(run.nodes, 1024);
+  EXPECT_TRUE(is_valid_order(run.solution.order, 30));
+  EXPECT_EQ(path_length(instance, run.solution.order), run.solution.cost);
+}
 
 TEST(BranchBound, SolvesBeyondHeldKarpMemoryWall) {
   // n = 30 is far beyond the 2^n table; bounded metrics stay tractable.

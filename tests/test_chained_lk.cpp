@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/reduction.hpp"
 #include "graph/generators.hpp"
 #include "tsp/brute_force.hpp"
 #include "tsp/chained_lk.hpp"
 #include "tsp/construct.hpp"
 #include "tsp/lin_kernighan.hpp"
+#include "tsp/local_search.hpp"
 #include "tsp/lower_bounds.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -35,6 +38,39 @@ TEST(LkStyle, ValidAndNotWorseThanStart) {
 TEST(LkStyle, RequiresValidStart) {
   const MetricInstance instance(4);
   EXPECT_THROW(lin_kernighan_style_path_from(instance, {0, 1}), precondition_error);
+}
+
+TEST(PathOptimizerCancel, SetFlagStopsAtTheFirstMoveBoundaryWithAValidOrder) {
+  Rng rng(3);
+  const MetricInstance instance = random_instance(60, rng);
+  const CandidateLists candidates(instance);
+  std::atomic<bool> cancel{true};
+  PathOptimizer optimizer(instance, candidates, &cancel);
+  Order order = rng.permutation(60);
+  const Order start = order;
+  EXPECT_FALSE(optimizer.optimize(order));
+  EXPECT_EQ(order, start);
+  EXPECT_EQ(optimizer.stats().moves, 0u);
+  // A cancelled optimizer leaves no stale queue behind: cleared, it runs
+  // to a local optimum like a fresh one.
+  cancel.store(false);
+  EXPECT_TRUE(optimizer.optimize(order));
+  EXPECT_TRUE(is_valid_order(order, 60));
+  EXPECT_LT(path_length(instance, order), path_length(instance, start));
+}
+
+TEST(ChainedLkCancel, CancelledUpFrontStillReturnsAValidPath) {
+  Rng rng(4);
+  const MetricInstance instance = random_instance(60, rng);
+  std::atomic<bool> cancel{true};
+  ChainedLkOptions options;
+  options.cancel = &cancel;
+  const ChainedLkRun run = chained_lk_path_run(instance, options);
+  EXPECT_FALSE(run.completed);
+  EXPECT_EQ(run.kicks, 0u);
+  EXPECT_EQ(run.moves, 0u);
+  EXPECT_TRUE(is_valid_order(run.solution.order, 60));
+  EXPECT_EQ(path_length(instance, run.solution.order), run.solution.cost);
 }
 
 class ChainedLkProperty : public ::testing::TestWithParam<int> {

@@ -38,6 +38,17 @@ TEST(HeldKarpCancel, PresetFlagStopsBeforeSolving) {
   EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 0.05);
 }
 
+TEST(HeldKarpCancel, PassedDeadlineStopsLikeACancel) {
+  Rng rng(3);
+  const MetricInstance instance = random_instance(18, rng);
+  HeldKarpOptions options;
+  options.deadline = std::chrono::steady_clock::now() - std::chrono::seconds{1};
+  const HeldKarpRun run = held_karp_path_run(instance, options);
+  EXPECT_FALSE(run.completed);
+  EXPECT_EQ(run.solution.cost, -1);
+  EXPECT_EQ(run.cells, 0u);  // stopped before the table was filled
+}
+
 TEST(HeldKarpCancel, ThrowingFrontEndRejectsCancelledRun) {
   Rng rng(2);
   const MetricInstance instance = random_instance(10, rng);

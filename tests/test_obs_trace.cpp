@@ -10,6 +10,7 @@
 #include "graph/operations.hpp"
 #include "obs/trace.hpp"
 #include "service/batch_solver.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace lptsp {
@@ -233,6 +234,53 @@ TEST(BatchSolverTracing, ColdAndWarmRequestsLeaveTheRightSpans) {
     EXPECT_LE(non_nested, trace.total_ns) << "request " << trace.request_id;
     EXPECT_GT(trace.total_ns, 0u);
   }
+}
+
+TEST(BatchSolverTracing, EngineAttemptSpansStartWhereTheirAttemptsStarted) {
+  // One engine worker, held by Held-Karp for 20 ms against a 1 ms
+  // deadline: it forfeits, and chained-LK, queued behind it, answers —
+  // started late by whichever side claims it.
+  BatchSolver::Options options = traced_options();
+  options.engine_workers = 1;
+  BatchSolver solver(options);
+  Rng rng(83);
+  SolveRequest request;
+  request.p = PVec::L21();
+  constexpr std::uint64_t kHoldNs = 20'000'000;
+  fault::arm(FaultSite::EngineExactStall, 1.0, 1, 1, kHoldNs / 1'000'000);
+  request.graph = random_with_diameter_at_most(12, 2, 0.3, rng);
+  request.deadline = std::chrono::milliseconds{1};
+  request.id = 1000;
+  const SolveResponse response = solver.solve_one(request);
+  fault::disarm(FaultSite::EngineExactStall);
+  ASSERT_TRUE(response.ok()) << response.message;
+  EXPECT_FALSE(response.optimal);
+  EXPECT_EQ(response.engine, Engine::ChainedLK);
+
+  const Trace* late = nullptr;
+  const std::vector<Trace> traces = solver.traces().snapshot();
+  for (const Trace& trace : traces) {
+    if (trace.request_id == 1000) late = &trace;
+  }
+  ASSERT_NE(late, nullptr);
+  const Span* race = nullptr;
+  const Span* heuristic = nullptr;
+  const Span* exact = nullptr;
+  for (const Span& span : late->spans) {
+    if (span.stage == Stage::EngineRace) race = &span;
+    if (span.stage != Stage::EngineAttempt) continue;
+    (span.winner ? heuristic : exact) = &span;
+  }
+  ASSERT_NE(race, nullptr);
+  ASSERT_NE(heuristic, nullptr);
+  ASSERT_NE(exact, nullptr);
+  EXPECT_STREQ(heuristic->detail, engine_name_cstr(Engine::ChainedLK));
+  EXPECT_STREQ(exact->detail, engine_name_cstr(Engine::HeldKarp));
+  EXPECT_GE(exact->duration_ns, kHoldNs);
+  // -1: each offset is truncated to whole nanoseconds on its own.
+  EXPECT_GE(heuristic->start_ns, race->start_ns + kHoldNs - 1);
+  EXPECT_LE(heuristic->start_ns + heuristic->duration_ns,
+            race->start_ns + race->duration_ns + 1);
 }
 
 TEST(BatchSolverTracing, StageHistogramsPopulateAlongsideTraces) {

@@ -67,7 +67,7 @@
 /// the pending work.
 /// Fault injection for drills: set LPTSP_FAULTS=site:prob:seed[:param],...
 /// (sites: store.append store.fsync store.compact_rename net.read_short
-/// net.write_short net.disconnect engine.stall).
+/// net.write_short net.disconnect engine.stall engine.exact_stall).
 ///
 /// Learning loop: the tuner (on by default) pre-trims the exact engine
 /// per size bucket from decayed win scores but re-probes it every
